@@ -28,6 +28,25 @@ int PollTimeoutMs(Clock& clock, TimeNs deadline) {
   return static_cast<int>(std::max<TimeNs>(remaining / kNsPerMs, 1));
 }
 
+template <typename Msg>
+Payload EncodePayload(const Msg& msg) {
+  Payload payload;
+  msg.Encode(payload);
+  return payload;
+}
+
+// The typed reply of a successful round trip, or the error that replaced
+// it; `what` names the reply in the parse error.
+template <typename Reply>
+Expected<Reply> DecodeReply(Expected<Frame> frame, const char* what) {
+  if (!frame.ok()) return frame.error();
+  Reply reply;
+  if (!Reply::Decode(frame->payload, reply)) {
+    return Error(ErrorCode::kParseError, std::string("bad ") + what);
+  }
+  return reply;
+}
+
 }  // namespace
 
 ApolloClient::ApolloClient(ClientConfig config)
@@ -47,13 +66,13 @@ ApolloClient::~ApolloClient() {
   Close();
 }
 
-Status ApolloClient::Connect() {
+Status ApolloClient::Connect(TimeNs deadline) {
   if (connected()) return Status::Ok();
   const RetryPolicy& policy = config_.connect_retry;
   const TimeNs start = clock_.Now();
   Status last(ErrorCode::kUnavailable, "connect not attempted");
   for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    last = ConnectOnce();
+    last = ConnectOnce(deadline);
     if (last.ok()) {
       // Reconnect audit: a fresh connection knows nothing about this
       // client's push subscriptions or continuous queries — replay them
@@ -68,8 +87,9 @@ Status ApolloClient::Connect() {
     if (!RetryableError(last.code())) return last;
     if (attempt == policy.max_attempts) break;
     const TimeNs backoff = JitteredBackoffForAttempt(policy, attempt);
-    if (policy.deadline > 0 &&
-        clock_.Now() + backoff - start >= policy.deadline) {
+    if ((policy.deadline > 0 &&
+         clock_.Now() + backoff - start >= policy.deadline) ||
+        (deadline > 0 && clock_.Now() + backoff >= deadline)) {
       break;
     }
     clock_.SleepFor(backoff);
@@ -77,7 +97,7 @@ Status ApolloClient::Connect() {
   return last;
 }
 
-Status ApolloClient::ConnectOnce() {
+Status ApolloClient::ConnectOnce(TimeNs deadline) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status(ErrorCode::kIoError,
@@ -104,11 +124,14 @@ Status ApolloClient::ConnectOnce() {
     ::close(fd);
     return Status(ErrorCode::kUnavailable, "connect: " + err);
   }
-  // Wait for the connect to resolve, then check SO_ERROR.
-  const TimeNs deadline = clock_.Now() + config_.connect_timeout;
+  // Wait for the connect to resolve (within the caller's deadline too),
+  // then check SO_ERROR.
+  TimeNs connect_deadline = clock_.Now() + config_.connect_timeout;
+  if (deadline > 0) connect_deadline = std::min(connect_deadline, deadline);
   pollfd pfd{fd, POLLOUT, 0};
   while (true) {
-    const int rc = ::poll(&pfd, 1, PollTimeoutMs(clock_, deadline));
+    const int rc =
+        ::poll(&pfd, 1, PollTimeoutMs(clock_, connect_deadline));
     if (rc < 0 && errno == EINTR) continue;
     if (rc <= 0) {
       ::close(fd);
@@ -134,23 +157,20 @@ Status ApolloClient::ConnectOnce() {
   HelloMsg hello;
   hello.client_name = config_.client_name;
   hello.tenant = config_.tenant;
-  Payload payload;
-  hello.Encode(payload);
-  auto reply = Roundtrip(MsgType::kHello, payload, MsgType::kHelloAck);
-  if (!reply.ok()) {
+  auto ack = DecodeReply<HelloAckMsg>(
+      Roundtrip(MsgType::kHello, EncodePayload(hello), MsgType::kHelloAck,
+                /*flags=*/0, deadline),
+      "hello ack");
+  if (!ack.ok()) {
     Close();
-    return reply.status();
+    return ack.status();
   }
-  HelloAckMsg ack;
-  if (!HelloAckMsg::Decode(reply->payload, ack)) {
-    return FailClose(ErrorCode::kParseError, "bad hello ack");
-  }
-  if (ack.protocol_version != kProtocolVersion) {
+  if (ack->protocol_version != kProtocolVersion) {
     return FailClose(ErrorCode::kFailedPrecondition,
                      "server speaks protocol version " +
-                         std::to_string(ack.protocol_version));
+                         std::to_string(ack->protocol_version));
   }
-  server_name_ = ack.server_name;
+  server_name_ = ack->server_name;
   return Status::Ok();
 }
 
@@ -326,42 +346,39 @@ Status ApolloClient::ReadSome(TimeNs deadline) {
   return Status::Ok();
 }
 
-Expected<Frame> ApolloClient::WaitFrame(std::uint32_t request_id,
-                                        TimeNs deadline) {
-  while (true) {
-    while (!pending_.empty()) {
-      Frame frame = std::move(pending_.front());
-      pending_.pop_front();
-      if (request_id != 0 && frame.request_id == request_id) return frame;
-      // Stale response to a request that already timed out: drop it.
-    }
-    if (request_id == 0 && (!deliveries_.empty() || !cq_updates_.empty())) {
-      return Frame{};  // sentinel: caller only wanted pushes
-    }
-    if (!connected()) {
-      return Error(ErrorCode::kUnavailable, "not connected");
-    }
-    if (clock_.Now() >= deadline) {
-      return Error(ErrorCode::kUnavailable, "request timed out");
-    }
-    Status status = ReadSome(deadline);
-    if (!status.ok()) return Error(status.code(), status.message());
-  }
-}
-
-Expected<Frame> ApolloClient::Roundtrip(MsgType type, const Payload& payload,
-                                        MsgType expect, std::uint16_t flags) {
+Expected<ApolloClient::PendingReply> ApolloClient::Send(MsgType type,
+                                                        const Payload& payload,
+                                                        std::uint16_t flags) {
   if (!connected() && type != MsgType::kHello) {
     Status status = Connect();
     if (!status.ok()) return Error(status.code(), status.message());
   }
-  const std::uint32_t request_id = next_request_id_++;
-  const TimeNs start = clock_.Now();
-  Status sent = SendRequest(type, request_id, payload, flags);
+  PendingReply pending{next_request_id_++, clock_.Now()};
+  Status sent = SendRequest(type, pending.request_id, payload, flags);
   if (!sent.ok()) return Error(sent.code(), sent.message());
-  auto reply = WaitFrame(request_id, start + config_.request_timeout);
-  if (!reply.ok()) return reply;
-  rtt_.Record(clock_.Now() - start);
+  return pending;
+}
+
+Expected<Frame> ApolloClient::Await(const PendingReply& pending,
+                                    MsgType expect, TimeNs deadline) {
+  std::optional<Frame> reply;
+  for (bool last_look = false; !reply.has_value();) {
+    while (!reply.has_value() && !pending_.empty()) {
+      // Any other id is a stale reply to a request that timed out: drop it.
+      if (pending_.front().request_id == pending.request_id) {
+        reply = std::move(pending_.front());
+      }
+      pending_.pop_front();
+    }
+    if (reply.has_value()) break;
+    if (!connected()) return Error(ErrorCode::kUnavailable, "not connected");
+    if (last_look) return Error(ErrorCode::kUnavailable, "request timed out");
+    // Past the deadline ReadSome polls without blocking: one last look.
+    last_look = clock_.Now() >= deadline;
+    Status status = ReadSome(deadline);
+    if (!status.ok()) return Error(status.code(), status.message());
+  }
+  rtt_.Record(clock_.Now() - pending.sent_at);
   if (reply->type == MsgType::kError) {
     ErrorMsg err;
     if (!ErrorMsg::Decode(reply->payload, err)) {
@@ -374,7 +391,23 @@ Expected<Frame> ApolloClient::Roundtrip(MsgType type, const Payload& payload,
                  std::string("unexpected reply type: ") +
                      MsgTypeName(reply->type));
   }
-  return reply;
+  return std::move(*reply);
+}
+
+Expected<Frame> ApolloClient::Roundtrip(MsgType type, const Payload& payload,
+                                        MsgType expect, std::uint16_t flags,
+                                        TimeNs deadline) {
+  auto pending = Send(type, payload, flags);
+  if (!pending.ok()) return pending.error();
+  TimeNs until = pending->sent_at + config_.request_timeout;
+  if (deadline > 0) until = std::min(until, deadline);
+  return Await(*pending, expect, until);
+}
+
+void ApolloClient::PollInbound() {
+  // An expired deadline makes ReadSome poll without blocking; "nothing
+  // arrived" is its timeout status and not an error here.
+  if (connected()) (void)ReadSome(clock_.Now());
 }
 
 Status ApolloClient::Ping() {
@@ -389,15 +422,11 @@ Expected<std::uint64_t> ApolloClient::Publish(const std::string& topic,
   msg.topic = topic;
   msg.timestamp = timestamp;
   msg.sample = sample;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kPublish, payload, MsgType::kPublishAck);
-  if (!reply.ok()) return reply.error();
-  PublishAckMsg ack;
-  if (!PublishAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad publish ack");
-  }
-  return ack.entry_id;
+  auto ack = DecodeReply<PublishAckMsg>(
+      Roundtrip(MsgType::kPublish, EncodePayload(msg), MsgType::kPublishAck),
+      "publish ack");
+  if (!ack.ok()) return ack.error();
+  return ack->entry_id;
 }
 
 void ApolloClient::SurfaceErrors(const std::vector<QueuedSample>& samples,
@@ -465,20 +494,12 @@ Status ApolloClient::FlushChunk() {
   }
   batch_size_.Record(static_cast<std::int64_t>(n));
   const TimeNs start = clock_.Now();
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kPublishBatch, payload, MsgType::kPublishBatchAck);
+  auto reply = PublishBatch(msg);
   if (!reply.ok()) {
     SurfaceErrors(inflight, reply.error());
     return reply.status();
   }
-  PublishBatchAckMsg ack;
-  if (!PublishBatchAckMsg::Decode(reply->payload, ack)) {
-    const Error err(ErrorCode::kParseError, "bad batch ack");
-    SurfaceErrors(inflight, err);
-    return Status(err.code(), err.message());
-  }
+  const PublishBatchAckMsg& ack = *reply;
   flush_latency_.Record(clock_.Now() - start);
   if (ack.error_count > 0 && publish_error_) {
     const Error err(ack.first_error_code, ack.first_error.empty()
@@ -497,16 +518,10 @@ Status ApolloClient::FlushChunk() {
 
 Expected<PublishBatchAckMsg> ApolloClient::PublishBatch(
     const PublishBatchMsg& msg, std::uint16_t flags) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kPublishBatch, payload,
-                         MsgType::kPublishBatchAck, flags);
-  if (!reply.ok()) return reply.error();
-  PublishBatchAckMsg ack;
-  if (!PublishBatchAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad batch ack");
-  }
-  return ack;
+  return DecodeReply<PublishBatchAckMsg>(
+      Roundtrip(MsgType::kPublishBatch, EncodePayload(msg),
+                MsgType::kPublishBatchAck, flags),
+      "batch ack");
 }
 
 Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
@@ -532,24 +547,20 @@ Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
   offer.segment_name = name;
   offer.slot_count = config_.shm_slots;
   offer.topics = topics;
-  Payload payload;
-  offer.Encode(payload);
-  auto reply = Roundtrip(MsgType::kShmAttach, payload, MsgType::kShmAttachAck);
-  if (!reply.ok()) {
+  auto ack = DecodeReply<ShmAttachAckMsg>(
+      Roundtrip(MsgType::kShmAttach, EncodePayload(offer),
+                MsgType::kShmAttachAck),
+      "shm attach ack");
+  if (!ack.ok()) {
     telemetry.net_shm_fallbacks.Inc();
-    return reply.status();
+    return ack.status();
   }
-  ShmAttachAckMsg ack;
-  if (!ShmAttachAckMsg::Decode(reply->payload, ack)) {
-    telemetry.net_shm_fallbacks.Inc();
-    return Status(ErrorCode::kParseError, "bad shm attach ack");
-  }
-  if (!ack.accepted) {
+  if (!ack->accepted) {
     // The fallback handshake: the producer (and its segment) go away and
     // every PublishAsync rides the TCP batch path.
     telemetry.net_shm_fallbacks.Inc();
     return Status(ErrorCode::kUnavailable,
-                  ack.message.empty() ? "shm offer refused" : ack.message);
+                  ack->message.empty() ? "shm offer refused" : ack->message);
   }
   shm_producer_ = std::move(*producer);
   for (std::size_t i = 0; i < topics.size(); ++i) {
@@ -563,14 +574,11 @@ Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,
   SubscribeMsg msg;
   msg.topic = topic;
   msg.cursor = cursor;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kSubscribe, payload, MsgType::kSubscribeAck);
-  if (!reply.ok()) return reply.error();
-  SubscribeAckMsg ack;
-  if (!SubscribeAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad subscribe ack");
-  }
+  auto ack = DecodeReply<SubscribeAckMsg>(
+      Roundtrip(MsgType::kSubscribe, EncodePayload(msg),
+                MsgType::kSubscribeAck),
+      "subscribe ack");
+  if (!ack.ok()) return ack;
   // Track the session for reconnect replay. A replayed subscribe (same
   // topic) refreshes its session in place instead of adding another.
   SubSession* session = nullptr;
@@ -585,8 +593,8 @@ Expected<SubscribeAckMsg> ApolloClient::Subscribe(const std::string& topic,
     session = &sub_sessions_.back();
     session->topic = topic;
   }
-  session->sub_id = ack.subscription_id;
-  session->cursor = ack.start_cursor;
+  session->sub_id = ack->subscription_id;
+  session->cursor = ack->start_cursor;
   return ack;
 }
 
@@ -598,15 +606,11 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
   msg.sql = sql;
   msg.resume_epoch = resume_epoch;
   msg.resume_seq = resume_seq;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kCQRegister, payload, MsgType::kCQRegisterAck);
-  if (!reply.ok()) return reply.error();
-  CQRegisterAckMsg ack;
-  if (!CQRegisterAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad cq register ack");
-  }
+  auto ack = DecodeReply<CQRegisterAckMsg>(
+      Roundtrip(MsgType::kCQRegister, EncodePayload(msg),
+                MsgType::kCQRegisterAck),
+      "cq register ack");
+  if (!ack.ok()) return ack;
   CQSession* session = nullptr;
   for (CQSession& s : cq_sessions_) {
     if (s.name == name) {
@@ -620,9 +624,9 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
     session->name = name;
   }
   session->sql = sql;
-  session->cq_id = ack.cq_id;
-  session->epoch = ack.epoch;
-  session->seq = ack.seq;
+  session->cq_id = ack->cq_id;
+  session->epoch = ack->epoch;
+  session->seq = ack->seq;
   return ack;
 }
 
@@ -643,9 +647,8 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegister(const std::string& name,
 Status ApolloClient::CQCancel(std::uint64_t cq_id) {
   CQCancelMsg msg;
   msg.cq_id = cq_id;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kCQCancel, payload, MsgType::kCQCancelAck);
+  auto reply =
+      Roundtrip(MsgType::kCQCancel, EncodePayload(msg), MsgType::kCQCancelAck);
   if (!reply.ok()) return reply.status();
   for (auto it = cq_sessions_.begin(); it != cq_sessions_.end(); ++it) {
     if (it->cq_id == cq_id) {
@@ -665,8 +668,6 @@ std::vector<CQUpdateMsg> ApolloClient::TakeCQUpdates() {
 bool ApolloClient::WaitForCQUpdates(TimeNs timeout) {
   const TimeNs deadline = clock_.Now() + timeout;
   while (cq_updates_.empty()) {
-    // ReadSome directly (not WaitFrame): its push sentinel would return
-    // immediately while unrelated deliveries sit buffered, spinning here.
     if (!connected() || clock_.Now() >= deadline) return false;
     if (!ReadSome(deadline).ok()) return false;
   }
@@ -700,100 +701,71 @@ Expected<WindowMsg> ApolloClient::FetchWindow(const std::string& topic,
   msg.topic = topic;
   msg.cursor = cursor;
   msg.max_entries = max_entries;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kFetchWindow, payload, MsgType::kWindow);
-  if (!reply.ok()) return reply.error();
-  WindowMsg window;
-  if (!WindowMsg::Decode(reply->payload, window)) {
-    return Error(ErrorCode::kParseError, "bad window");
-  }
-  return window;
+  return DecodeReply<WindowMsg>(
+      Roundtrip(MsgType::kFetchWindow, EncodePayload(msg), MsgType::kWindow),
+      "window");
 }
 
 Expected<ResultMsg> ApolloClient::Query(const std::string& sql, bool partial) {
+  auto pending = SendQuery(sql, partial);
+  if (!pending.ok()) return pending.error();
+  return AwaitQuery(*pending, pending->sent_at + config_.request_timeout);
+}
+
+Expected<ApolloClient::PendingReply> ApolloClient::SendQuery(
+    const std::string& sql, bool partial) {
   QueryMsg msg;
   msg.sql = sql;
-  Payload payload;
-  msg.Encode(payload);
-  auto reply = Roundtrip(MsgType::kQuery, payload, MsgType::kResult,
-                         partial ? kFlagPartial : 0);
-  if (!reply.ok()) return reply.error();
-  ResultMsg result;
-  if (!ResultMsg::Decode(reply->payload, result)) {
-    return Error(ErrorCode::kParseError, "bad result");
-  }
-  return result;
+  return Send(MsgType::kQuery, EncodePayload(msg), partial ? kFlagPartial : 0);
+}
+
+Expected<ResultMsg> ApolloClient::AwaitQuery(const PendingReply& pending,
+                                             TimeNs deadline) {
+  return DecodeReply<ResultMsg>(Await(pending, MsgType::kResult, deadline),
+                                "result");
 }
 
 Expected<std::vector<TopicInfo>> ApolloClient::ListTopics() {
-  auto reply = Roundtrip(MsgType::kListTopics, {}, MsgType::kTopicList);
-  if (!reply.ok()) return reply.error();
-  TopicListMsg msg;
-  if (!TopicListMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad topic list");
-  }
-  return msg.topics;
+  auto msg = DecodeReply<TopicListMsg>(
+      Roundtrip(MsgType::kListTopics, {}, MsgType::kTopicList), "topic list");
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->topics);
 }
 
 Expected<std::string> ApolloClient::FetchMetricsText() {
-  auto reply = Roundtrip(MsgType::kMetrics, {}, MsgType::kMetricsText);
-  if (!reply.ok()) return reply.error();
-  MetricsTextMsg msg;
-  if (!MetricsTextMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad metrics text");
-  }
-  return msg.text;
+  auto msg = DecodeReply<MetricsTextMsg>(
+      Roundtrip(MsgType::kMetrics, {}, MsgType::kMetricsText), "metrics text");
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->text);
 }
 
 Expected<HeartbeatAckMsg> ApolloClient::Heartbeat(const HeartbeatMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kHeartbeat, payload, MsgType::kHeartbeatAck);
-  if (!reply.ok()) return reply.error();
-  HeartbeatAckMsg ack;
-  if (!HeartbeatAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad heartbeat ack");
-  }
-  return ack;
+  return DecodeReply<HeartbeatAckMsg>(
+      Roundtrip(MsgType::kHeartbeat, EncodePayload(msg),
+                MsgType::kHeartbeatAck),
+      "heartbeat ack");
 }
 
 Expected<ReplicateAckMsg> ApolloClient::Replicate(const ReplicateMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kReplicate, payload, MsgType::kReplicateAck);
-  if (!reply.ok()) return reply.error();
-  ReplicateAckMsg ack;
-  if (!ReplicateAckMsg::Decode(reply->payload, ack)) {
-    return Error(ErrorCode::kParseError, "bad replicate ack");
-  }
-  return ack;
+  return DecodeReply<ReplicateAckMsg>(
+      Roundtrip(MsgType::kReplicate, EncodePayload(msg),
+                MsgType::kReplicateAck),
+      "replicate ack");
 }
 
 Expected<ResyncChunkMsg> ApolloClient::ResyncPull(const ResyncPullMsg& msg) {
-  Payload payload;
-  msg.Encode(payload);
-  auto reply =
-      Roundtrip(MsgType::kResyncPull, payload, MsgType::kResyncChunk);
-  if (!reply.ok()) return reply.error();
-  ResyncChunkMsg chunk;
-  if (!ResyncChunkMsg::Decode(reply->payload, chunk)) {
-    return Error(ErrorCode::kParseError, "bad resync chunk");
-  }
-  return chunk;
+  return DecodeReply<ResyncChunkMsg>(
+      Roundtrip(MsgType::kResyncPull, EncodePayload(msg),
+                MsgType::kResyncChunk),
+      "resync chunk");
 }
 
 Expected<cluster::ClusterMap> ApolloClient::FetchClusterMap() {
-  auto reply =
-      Roundtrip(MsgType::kGetClusterMap, {}, MsgType::kClusterMap);
-  if (!reply.ok()) return reply.error();
-  ClusterMapMsg msg;
-  if (!ClusterMapMsg::Decode(reply->payload, msg)) {
-    return Error(ErrorCode::kParseError, "bad cluster map");
-  }
-  return msg.map;
+  auto msg = DecodeReply<ClusterMapMsg>(
+      Roundtrip(MsgType::kGetClusterMap, {}, MsgType::kClusterMap),
+      "cluster map");
+  if (!msg.ok()) return msg.error();
+  return std::move(msg->map);
 }
 
 std::optional<cluster::ClusterMap> ApolloClient::TakeClusterMapPush() {
@@ -811,8 +783,6 @@ std::vector<DeliverMsg> ApolloClient::TakeDeliveries() {
 bool ApolloClient::WaitForDeliveries(TimeNs timeout) {
   const TimeNs deadline = clock_.Now() + timeout;
   while (deliveries_.empty()) {
-    // ReadSome directly (not WaitFrame): its push sentinel also fires
-    // for buffered CQ updates, which would spin this loop.
     if (!connected() || clock_.Now() >= deadline) return false;
     if (!ReadSome(deadline).ok()) return false;
   }

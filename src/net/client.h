@@ -9,8 +9,11 @@
 //
 // Request/response correlation is by frame request_id; unsolicited
 // kDeliver frames that arrive while a response is awaited are buffered and
-// drained with TakeDeliveries(). Round-trip times are recorded into the
-// apollo_net_request_rtt_ns histogram.
+// drained with TakeDeliveries(). A round trip is a send half (request id N
+// on the wire) and an await half (wait for id N until an absolute
+// deadline); SendQuery/AwaitQuery expose the halves so a caller with
+// several clients can send on all before waiting on any. Round-trip times
+// are recorded into the apollo_net_request_rtt_ns histogram.
 //
 // Batched ingest: PublishAsync queues samples and flushes them as one
 // kPublishBatch frame when the queue reaches batch_max_samples or the
@@ -22,8 +25,9 @@
 // topic set; accepted lanes bypass TCP entirely and a refused offer (or a
 // full ring) falls back to the TCP batch path.
 //
-// Thread contract: one thread per client (no internal locking) — the
-// scatter-gather engine gives each node its own client.
+// Thread contract: one thread at a time per client (no internal locking).
+// Owners shared across threads serialize their calls; RemoteQueryEngine
+// holds one client per node and runs every Execute under its own mutex.
 #pragma once
 
 #include <atomic>
@@ -76,7 +80,9 @@ class ApolloClient {
   ApolloClient& operator=(const ApolloClient&) = delete;
 
   // Connects with retry/backoff and handshakes. Idempotent when connected.
-  Status Connect();
+  // A non-zero `deadline` (absolute clock time) also bounds every attempt,
+  // backoff and the handshake.
+  Status Connect(TimeNs deadline = 0);
   void Close();
   bool connected() const { return fd_ >= 0; }
 
@@ -148,6 +154,21 @@ class ApolloClient {
   // `partial` sets kFlagPartial: the daemon executes only the UNION
   // branches it serves (scatter-gather).
   Expected<ResultMsg> Query(const std::string& sql, bool partial = false);
+  // The two halves of Query(): SendQuery puts the request on the wire
+  // and AwaitQuery waits for its reply until `deadline` (absolute clock
+  // time). A timed-out await leaves the connection up; a later await
+  // drops the late reply by its request id.
+  struct PendingReply {
+    std::uint32_t request_id = 0;
+    TimeNs sent_at = 0;
+  };
+  Expected<PendingReply> SendQuery(const std::string& sql,
+                                   bool partial = false);
+  Expected<ResultMsg> AwaitQuery(const PendingReply& pending, TimeNs deadline);
+  // Reads whatever already arrived, without blocking: buffers pushes (see
+  // TakeClusterMapPush) and notices a peer that closed the connection, so
+  // connected() is current before a request goes out on a reused socket.
+  void PollInbound();
   Expected<std::vector<TopicInfo>> ListTopics();
   // One Prometheus text-exposition scrape of the daemon's registry.
   Expected<std::string> FetchMetricsText();
@@ -188,7 +209,7 @@ class ApolloClient {
     TelemetryStream::Entry entry;  // id unused
   };
 
-  Status ConnectOnce();
+  Status ConnectOnce(TimeNs deadline);
   // Replays this client's sessions (push subscriptions from their
   // client-side cursors, CQ registrations with resume epoch/seq) on a
   // fresh connection. Best-effort per session: one failed replay (e.g. a
@@ -206,14 +227,22 @@ class ApolloClient {
                      const Error& error);
   Status SendRequest(MsgType type, std::uint32_t request_id,
                      const Payload& payload, std::uint16_t flags);
-  // Sends `type` and waits for the response frame with the same request
-  // id, surfacing kError replies. `expect` is the success frame type.
+  // Send half of a round trip: connects if needed (except for the hello
+  // itself) and puts the request on the wire under a fresh request id.
+  Expected<PendingReply> Send(MsgType type, const Payload& payload,
+                              std::uint16_t flags = 0);
+  // Await half: reads frames until the reply to `pending` arrives or
+  // `deadline` (absolute clock time) passes, surfacing kError replies;
+  // `expect` is the success frame type. Past the deadline it still takes
+  // one non-blocking look, so a reply that arrived while another client
+  // was awaited counts.
+  Expected<Frame> Await(const PendingReply& pending, MsgType expect,
+                        TimeNs deadline);
+  // Send + Await within config_.request_timeout, capped by a non-zero
+  // `deadline`.
   Expected<Frame> Roundtrip(MsgType type, const Payload& payload,
-                            MsgType expect, std::uint16_t flags = 0);
-  // Reads frames until one with `request_id` arrives or `deadline` (abs
-  // clock time) passes. request_id 0 returns on the first buffered
-  // delivery instead. Buffers kDeliver frames either way.
-  Expected<Frame> WaitFrame(std::uint32_t request_id, TimeNs deadline);
+                            MsgType expect, std::uint16_t flags = 0,
+                            TimeNs deadline = 0);
   // One poll+read step; feeds the parser and fans frames into pending_ /
   // deliveries_.
   Status ReadSome(TimeNs deadline);

@@ -1,8 +1,5 @@
 #include "net/remote_query.h"
 
-#include <algorithm>
-#include <set>
-#include <thread>
 #include <utility>
 
 #include "aqe/parser.h"
@@ -16,281 +13,267 @@ namespace apollo::net {
 
 RemoteQueryEngine::RemoteQueryEngine(std::vector<RemoteNode> nodes,
                                      RemoteQueryOptions options)
-    : nodes_(std::move(nodes)), options_(options) {}
+    : options_(options) {
+  nodes_.reserve(nodes.size());
+  for (RemoteNode& info : nodes) {
+    ClientConfig config;
+    config.host = info.host;
+    config.port = info.port;
+    config.client_name = "remote-query:" + info.name;
+    // Query legs wait against their round deadline; the client's own
+    // timeout only bounds the handshake and map fetches.
+    config.request_timeout = options_.connect_timeout;
+    config.connect_timeout = options_.connect_timeout;
+    config.connect_retry = options_.connect_retry;
+    Node node;
+    node.info = std::move(info);
+    node.client = std::make_unique<ApolloClient>(std::move(config));
+    nodes_.push_back(std::move(node));
+  }
+}
 
-Expected<ResultMsg> RemoteQueryEngine::QueryNode(std::size_t node,
-                                                 const std::string& sql,
-                                                 bool partial) {
-  ClientConfig config;
-  config.host = nodes_[node].host;
-  config.port = nodes_[node].port;
-  config.client_name = "remote-query:" + nodes_[node].name;
-  config.request_timeout = options_.node_deadline;
-  config.connect_timeout = options_.connect_timeout;
-  config.connect_retry = options_.connect_retry;
-  // The whole scatter leg — retries included — stays inside the node
-  // deadline so one dead node cannot stretch the gather.
-  config.connect_retry.deadline = options_.node_deadline;
-  ApolloClient client(std::move(config));
-  client.AttachFaultInjector(fault_);
-  return client.Query(sql, partial);
+void RemoteQueryEngine::AttachFaultInjector(FaultInjector* injector) {
+  for (Node& node : nodes_) node.client->AttachFaultInjector(injector);
 }
 
 Expected<aqe::ResultSet> RemoteQueryEngine::Execute(const std::string& sql) {
   TRACE_SPAN("net.remote_query", sql);
-  if (options_.cluster_mode) return ExecuteCluster(sql);
-  return ExecuteBroadcast(sql);
-}
-
-Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteBroadcast(
-    const std::string& sql) {
-  struct NodeReply {
-    Expected<ResultMsg> reply{Error(ErrorCode::kUnavailable, "not run")};
-  };
-  std::vector<NodeReply> replies(nodes_.size());
-  std::vector<std::thread> threads;
-  threads.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    threads.emplace_back([this, i, &sql, &replies] {
-      replies[i].reply = QueryNode(i, sql, /*partial=*/true);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  auto& telemetry = GlobalTelemetry();
-  Clock& clock = RealClock::Instance();
-  const TimeNs now = clock.Now();
-  aqe::ResultSet merged;
-  std::vector<NodeOutcome> outcomes(nodes_.size());
-  bool any_fresh = false;
-  Error first_error(ErrorCode::kUnavailable, "no nodes configured");
-  bool have_error = false;
-
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    NodeOutcome& outcome = outcomes[i];
-    outcome.node = nodes_[i].name;
-    auto& reply = replies[i].reply;
-    const auto cache_key = std::make_pair(nodes_[i].name, sql);
-    if (reply.ok()) {
-      Status status = aqe::MergeResult(merged, reply->result);
-      if (!status.ok()) return Error(status.code(), status.message());
-      outcome.ok = true;
-      outcome.served_tables = reply->served_tables;
-      any_fresh = true;
-      cache_[cache_key] = CachedResult{reply->result, now};
-      continue;
-    }
-    outcome.error = reply.error().ToString();
-    if (!have_error) {
-      first_error = reply.error();
-      have_error = true;
-    }
-    telemetry.net_node_timeouts.Inc();
-    auto cached = cache_.find(cache_key);
-    if (cached != cache_.end()) {
-      // Last-known-good fallback: stale rows beat a failed query.
-      aqe::ResultSet stale = cached->second.result;
-      aqe::MarkDegraded(stale, now - cached->second.fetched_at);
-      Status status = aqe::MergeResult(merged, stale);
-      if (!status.ok()) return Error(status.code(), status.message());
-      outcome.from_cache = true;
-      telemetry.net_degraded_fallbacks.Inc();
-    } else {
-      // Nothing to serve for this node; the merged answer is degraded.
-      merged.degraded = true;
-    }
-  }
-  last_outcomes_ = std::move(outcomes);
-
-  // Only when every node failed and none had a cached answer does the
-  // query itself fail (e.g. a parse error rejected everywhere).
-  if (!any_fresh && merged.rows.empty() && merged.columns.empty() &&
-      (have_error || nodes_.empty())) {
-    return first_error;
-  }
-  return merged;
+  SyncMap();
+  auto route = PlanRoute(sql);
+  if (!route.ok()) return route.error();
+  return Gather(*route);
 }
 
-bool RemoteQueryEngine::RefreshMap() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ClientConfig config;
-    config.host = nodes_[i].host;
-    config.port = nodes_[i].port;
-    config.client_name = "remote-query-map:" + nodes_[i].name;
-    config.request_timeout = options_.connect_timeout;
-    config.connect_timeout = options_.connect_timeout;
-    config.connect_retry.max_attempts = 1;
-    ApolloClient client(std::move(config));
-    client.AttachFaultInjector(fault_);
-    auto map = client.FetchClusterMap();
-    if (!map.ok()) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    map_ = std::move(*map);
-    return true;
+Status RemoteQueryEngine::ConnectNode(std::size_t i, TimeNs deadline) {
+  Node& node = nodes_[i];
+  if (node.client->connected()) return Status::Ok();
+  Status status = node.client->Connect(deadline);
+  if (status.ok()) {
+    // A reconnect means the node restarted or the path flapped, so
+    // membership may have moved without a push reaching us.
+    if (node.ever_connected) map_stale_ = true;
+    node.ever_connected = true;
   }
-  return false;
+  return status;
 }
 
-Expected<aqe::ResultSet> RemoteQueryEngine::ExecuteCluster(
-    const std::string& sql) {
-  RefreshMap();  // stale map (or none) degrades to the broadcast path
-  std::optional<cluster::ClusterMap> map;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    map = map_;
+void RemoteQueryEngine::SyncMap() {
+  for (Node& node : nodes_) {
+    node.client->PollInbound();
+    auto pushed = node.client->TakeClusterMapPush();
+    if (options_.cluster_mode && pushed.has_value() &&
+        (!map_.has_value() || pushed->version >= map_->version)) {
+      map_ = std::move(*pushed);
+    }
   }
-  if (!map.has_value()) return ExecuteBroadcast(sql);
+  if (!options_.cluster_mode || (map_.has_value() && !map_stale_)) return;
+  // Fetch over a connection that is already up when there is one; a
+  // failed fetch keeps the stale map (or none, which broadcasts).
+  Clock& clock = RealClock::Instance();
+  for (const bool up : {true, false}) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      ApolloClient& client = *nodes_[i].client;
+      if (client.connected() != up) continue;
+      if (!ConnectNode(i, clock.Now() + options_.connect_timeout).ok()) {
+        continue;
+      }
+      auto map = client.FetchClusterMap();
+      if (!map.ok()) continue;
+      map_ = std::move(*map);
+      map_stale_ = false;
+      return;
+    }
+  }
+}
+
+Expected<RemoteQueryEngine::Route> RemoteQueryEngine::PlanRoute(
+    const std::string& sql) const {
+  Route route;
+  if (!options_.cluster_mode || !map_.has_value()) {
+    // Broadcast: each node is its own slot and gets the whole query.
+    route.partial = true;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      route.candidates[nodes_[i].info.name] = {i};
+    }
+    route.sub_query = [sql](const std::set<std::string>&) { return sql; };
+    return route;
+  }
 
   std::string_view bare = sql;
   bool analyze = false;
-  const bool is_explain = aqe::Executor::StripExplainPrefix(sql, bare, analyze);
+  const bool explain = aqe::Executor::StripExplainPrefix(sql, bare, analyze);
   auto parsed = aqe::Parse(std::string(bare));
   if (!parsed.ok()) return parsed.error();
 
   // Placement ring over the CONFIGURED member names (the same walk the
   // daemons use), restricted to live members for primary selection.
   std::vector<std::string> member_names;
-  for (const cluster::Member& m : map->members) member_names.push_back(m.name);
-  cluster::PlacementRing ring(member_names, options_.vnodes);
-
-  // Distinct tables -> ordered candidate replicas.
-  std::map<std::string, std::vector<std::string>> candidates;
+  for (const cluster::Member& m : map_->members) member_names.push_back(m.name);
+  const cluster::PlacementRing ring(member_names, options_.vnodes);
+  // Distinct tables -> ordered candidate replicas we can actually dial.
   for (const aqe::Select& sel : parsed->selects) {
-    if (candidates.count(sel.table)) continue;
-    std::vector<const cluster::Member*> replicas =
-        cluster::AliveReplicasFor(ring, *map, sel.table);
-    std::vector<std::string> names;
-    for (const cluster::Member* m : replicas) {
-      // Only members we can actually dial.
-      if (std::any_of(nodes_.begin(), nodes_.end(),
-                      [&](const RemoteNode& n) { return n.name == m->name; }))
-        names.push_back(m->name);
+    if (route.candidates.count(sel.table)) continue;
+    std::vector<std::size_t>& nodes = route.candidates[sel.table];
+    for (const cluster::Member* m :
+         cluster::AliveReplicasFor(ring, *map_, sel.table)) {
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (nodes_[i].info.name == m->name) nodes.push_back(i);
+      }
     }
-    if (names.empty()) {
+    if (nodes.empty()) {
       // No live replica known: try every configured node in order.
-      for (const RemoteNode& n : nodes_) names.push_back(n.name);
+      for (std::size_t i = 0; i < nodes_.size(); ++i) nodes.push_back(i);
     }
-    candidates[sel.table] = std::move(names);
   }
+  const std::string prefix =
+      !explain ? "" : analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ";
+  route.sub_query = [prefix, query = std::move(*parsed)](
+                        const std::set<std::string>& tables) {
+    return prefix + aqe::ToString(aqe::FilterQuery(
+                        query, [&](const std::string& table) {
+                          return tables.count(table) > 0;
+                        }));
+  };
+  return route;
+}
 
-  auto node_index = [this](const std::string& name) -> std::size_t {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].name == name) return i;
+void RemoteQueryEngine::DispatchAndGather(std::vector<Leg>& legs,
+                                          bool partial) {
+  const TimeNs deadline = RealClock::Instance().Now() + options_.node_deadline;
+  auto send = [&](Leg& leg) {
+    auto pending = nodes_[leg.node].client->SendQuery(leg.sql, partial);
+    if (pending.ok()) {
+      leg.pending = *pending;
+    } else {
+      leg.reply = pending.error();
     }
-    return nodes_.size();
   };
-  auto subquery_for = [&](const std::set<std::string>& tables) {
-    std::string text = aqe::ToString(aqe::FilterQuery(
-        *parsed, [&](const std::string& t) { return tables.count(t) > 0; }));
-    if (is_explain) text = (analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ") + text;
-    return text;
-  };
+  // Connected nodes first, so a down node's connect attempts (bounded by
+  // the same deadline) start only once every live request is on the wire.
+  std::vector<Leg*> down;
+  for (Leg& leg : legs) {
+    if (nodes_[leg.node].client->connected()) {
+      send(leg);
+    } else {
+      down.push_back(&leg);
+    }
+  }
+  for (Leg* leg : down) {
+    Status status = ConnectNode(leg->node, deadline);
+    if (status.ok()) {
+      send(*leg);
+    } else {
+      leg->reply = Error(status.code(), status.message());
+    }
+  }
+  for (Leg& leg : legs) {
+    if (leg.pending.has_value()) {
+      leg.reply = nodes_[leg.node].client->AwaitQuery(*leg.pending, deadline);
+    }
+  }
+}
 
+Expected<aqe::ResultSet> RemoteQueryEngine::Gather(const Route& route) {
   auto& telemetry = GlobalTelemetry();
   Clock& clock = RealClock::Instance();
   aqe::ResultSet merged;
   std::vector<NodeOutcome> outcomes(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    outcomes[i].node = nodes_[i].name;
+    outcomes[i].node = nodes_[i].info.name;
   }
-  std::set<std::string> remaining;  // tables still unanswered
-  for (const auto& [table, cands] : candidates) remaining.insert(table);
-  std::set<std::string> failed_nodes;
+  std::set<std::string> remaining;  // slots still unanswered
+  for (const auto& [slot, nodes] : route.candidates) remaining.insert(slot);
+  std::set<std::size_t> failed;
   bool any_fresh = false;
-  Error first_error(ErrorCode::kUnavailable, "no live replica answered");
+  std::optional<Error> first_error;
 
   // Two bounded rounds: the primary assignment, then one re-route of the
-  // failed nodes' tables to their next surviving replica.
+  // failed legs' slots to their next surviving candidate.
   for (int round = 0; round < 2 && !remaining.empty(); ++round) {
-    std::map<std::string, std::set<std::string>> assignment;  // node->tables
-    for (const std::string& table : remaining) {
-      for (const std::string& cand : candidates[table]) {
-        if (failed_nodes.count(cand)) continue;
-        assignment[cand].insert(table);
+    std::map<std::size_t, std::set<std::string>> assignment;  // node->slots
+    for (const std::string& slot : remaining) {
+      for (const std::size_t node : route.candidates.at(slot)) {
+        if (failed.count(node)) continue;
+        assignment[node].insert(slot);
         break;
       }
     }
     if (assignment.empty()) break;
-    struct Leg {
-      std::size_t node;
-      std::string sub_sql;
-      std::set<std::string> tables;
-      Expected<ResultMsg> reply{Error(ErrorCode::kUnavailable, "not run")};
-    };
     std::vector<Leg> legs;
-    for (auto& [name, tables] : assignment) {
-      const std::size_t idx = node_index(name);
-      if (idx >= nodes_.size()) continue;
-      legs.push_back(Leg{idx, subquery_for(tables), tables});
+    for (auto& [node, slots] : assignment) {
+      Leg leg;
+      leg.node = node;
+      leg.sql = route.sub_query(slots);
+      leg.slots = std::move(slots);
+      legs.push_back(std::move(leg));
     }
-    std::vector<std::thread> threads;
-    threads.reserve(legs.size());
-    for (Leg& leg : legs) {
-      threads.emplace_back([this, &leg] {
-        leg.reply = QueryNode(leg.node, leg.sub_sql, /*partial=*/false);
-      });
-    }
-    for (std::thread& t : threads) t.join();
+    DispatchAndGather(legs, route.partial);
     const TimeNs now = clock.Now();
     for (Leg& leg : legs) {
       NodeOutcome& outcome = outcomes[leg.node];
-      if (leg.reply.ok()) {
-        Status status = aqe::MergeResult(merged, leg.reply->result);
-        if (!status.ok()) return Error(status.code(), status.message());
-        outcome.ok = true;
-        outcome.served_tables.insert(outcome.served_tables.end(),
-                                     leg.tables.begin(), leg.tables.end());
-        any_fresh = true;
-        for (const std::string& t : leg.tables) remaining.erase(t);
-        std::lock_guard<std::mutex> lock(mu_);
-        cache_[{nodes_[leg.node].name, leg.sub_sql}] =
-            CachedResult{leg.reply->result, now};
+      if (!leg.reply.ok()) {
+        outcome.error = leg.reply.error().ToString();
+        if (!first_error.has_value()) first_error = leg.reply.error();
+        failed.insert(leg.node);
+        map_stale_ = true;
+        telemetry.net_node_timeouts.Inc();
         continue;
       }
-      outcome.error = leg.reply.error().ToString();
-      first_error = leg.reply.error();
-      failed_nodes.insert(nodes_[leg.node].name);
-      telemetry.net_node_timeouts.Inc();
+      Status status = aqe::MergeResult(merged, leg.reply->result);
+      if (!status.ok()) return Error(status.code(), status.message());
+      outcome.ok = true;
+      // A partial leg reports the tables it served; a routed leg served
+      // exactly its slots.
+      if (route.partial) {
+        outcome.served_tables = leg.reply->served_tables;
+      } else {
+        outcome.served_tables.insert(outcome.served_tables.end(),
+                                     leg.slots.begin(), leg.slots.end());
+      }
+      any_fresh = true;
+      for (const std::string& slot : leg.slots) remaining.erase(slot);
+      cache_[{nodes_[leg.node].info.name, leg.sql}] =
+          CachedResult{leg.reply->result, now};
     }
   }
 
   // Whatever is still unanswered goes to the last-known-good cache,
-  // keyed by the PRIMARY assignment (the stable key in a calm cluster).
+  // keyed by each slot's first candidate (the stable key in a calm
+  // cluster).
   if (!remaining.empty()) {
     const TimeNs now = clock.Now();
-    std::map<std::string, std::set<std::string>> assignment;
-    for (const std::string& table : remaining) {
-      if (!candidates[table].empty()) {
-        assignment[candidates[table].front()].insert(table);
-      }
+    std::map<std::size_t, std::set<std::string>> primary;
+    for (const std::string& slot : remaining) {
+      const std::vector<std::size_t>& nodes = route.candidates.at(slot);
+      if (!nodes.empty()) primary[nodes.front()].insert(slot);
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    bool all_cached = !assignment.empty();
-    for (auto& [name, tables] : assignment) {
-      auto cached = cache_.find({name, subquery_for(tables)});
+    bool all_cached = !primary.empty();
+    for (const auto& [node, slots] : primary) {
+      auto cached =
+          cache_.find({nodes_[node].info.name, route.sub_query(slots)});
       if (cached == cache_.end()) {
         all_cached = false;
         continue;
       }
+      // Last-known-good fallback: stale rows beat a failed query.
       aqe::ResultSet stale = cached->second.result;
       aqe::MarkDegraded(stale, now - cached->second.fetched_at);
       Status status = aqe::MergeResult(merged, stale);
       if (!status.ok()) return Error(status.code(), status.message());
-      const std::size_t idx = node_index(name);
-      if (idx < nodes_.size()) outcomes[idx].from_cache = true;
+      outcomes[node].from_cache = true;
       telemetry.net_degraded_fallbacks.Inc();
     }
     if (!all_cached) merged.degraded = true;
   }
+  last_outcomes_ = std::move(outcomes);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    last_outcomes_ = std::move(outcomes);
-  }
+  // Only when no leg answered and nothing was cached does the query
+  // itself fail (e.g. a parse error rejected everywhere).
   if (!any_fresh && merged.rows.empty() && merged.columns.empty() &&
-      !candidates.empty()) {
-    return first_error;
+      (first_error.has_value() || route.candidates.empty())) {
+    return first_error.value_or(
+        Error(ErrorCode::kUnavailable, "no nodes configured"));
   }
   return merged;
 }
