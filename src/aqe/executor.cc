@@ -549,6 +549,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
   std::size_t archived_count = 0;
   std::size_t cold_count = 0;
   ColdScanStats cold_stats;
+  WalScanStats wal_stats;
   if (archive_has_rows || cold_has_rows) {
     stream->RangeByTime(from_ts, to_ts, scratch);
     // Archive rows strictly older than the in-memory ones; when the window
@@ -557,7 +558,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
         scratch.empty() ? to_ts : scratch.front().timestamp - 1;
     std::vector<StreamEntry<Sample>> wal_rows;
     if (archive_has_rows && from_ts <= archive_to) {
-      auto archived = archiver->ReadRange(from_ts, archive_to);
+      auto archived = archiver->ReadRange(from_ts, archive_to, &wal_stats);
       if (archived.ok()) {
         wal_rows.reserve(archived->size());
         for (const auto& rec : *archived) {
@@ -616,6 +617,8 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
     vp->cold_rows = cold_count;
     vp->cold_blocks_scanned = cold_stats.blocks_scanned;
     vp->cold_blocks_pruned = cold_stats.blocks_pruned;
+    vp->wal_segments_scanned = wal_stats.segments_scanned;
+    vp->wal_segments_pruned = wal_stats.segments_pruned;
   }
 
   if (has_aggregate) {

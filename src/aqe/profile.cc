@@ -32,6 +32,10 @@ std::vector<std::string> QueryProfile::ToLines() const {
         os << " cold_blocks_scanned=" << v.cold_blocks_scanned
            << " cold_blocks_pruned=" << v.cold_blocks_pruned;
       }
+      if (v.wal_segments_scanned > 0 || v.wal_segments_pruned > 0) {
+        os << " wal_segments_scanned=" << v.wal_segments_scanned
+           << " wal_segments_pruned=" << v.wal_segments_pruned;
+      }
       os << " degraded=" << (v.degraded ? "yes" : "no")
          << " staleness_ns=" << v.staleness_ns << " time_ns=" << v.exec_ns;
     }

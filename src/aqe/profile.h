@@ -25,6 +25,8 @@ struct VertexProfile {
   std::uint64_t cold_rows = 0;      // cold-tier rows merged into the scan
   std::uint64_t cold_blocks_scanned = 0;  // blocks decoded for this branch
   std::uint64_t cold_blocks_pruned = 0;   // blocks skipped via zone maps
+  std::uint64_t wal_segments_scanned = 0;  // WAL segments read back
+  std::uint64_t wal_segments_pruned = 0;   // skipped on timestamp bounds
   bool degraded = false;
   TimeNs staleness_ns = 0;
   TimeNs exec_ns = 0;  // ANALYZE only; broker-clock elapsed

@@ -85,13 +85,9 @@ Status ArchiveLog::ScanSegmentFile(
     const std::function<void(const void*)>& fn) const {
   Status status = ReadFile(path, buf);
   if (!status.ok()) return status;
-  if (fn == nullptr) {
-    result = wal::ScanBuffer(buf.data(), buf.size());
-  } else {
-    result = wal::ScanBuffer(
-        buf.data(), buf.size(),
-        [&fn](const std::uint8_t* payload, std::uint32_t) { fn(payload); });
-  }
+  result = wal::ScanBuffer(
+      buf.data(), buf.size(),
+      [&fn](const std::uint8_t* payload, std::uint32_t) { fn(payload); });
   return Status::Ok();
 }
 
@@ -123,13 +119,16 @@ Status ArchiveLog::Open() {
   std::sort(found.begin(), found.end());
 
   // Recover each segment: keep the valid prefix, truncate torn/corrupt
-  // tails in place, quarantine segments whose header does not parse.
+  // tails in place, quarantine segments whose header does not parse. The
+  // same pass rebuilds each segment's timestamp bounds.
   TelemetryCounters& telemetry = GlobalTelemetry();
   std::vector<std::uint8_t> buf;
   for (const auto& [seq, path] : found) {
     ++recovery_.segments_scanned;
+    Segment seg{seq, path};
     wal::ScanResult scan;
-    Status status = ScanSegmentFile(path, buf, scan, nullptr);
+    Status status = ScanSegmentFile(
+        path, buf, scan, [&seg](const void* payload) { seg.Widen(payload); });
     if (!status.ok()) return status;
     if (!scan.header_ok) {
       // Unreadable as a WAL segment at all: move it aside so it never
@@ -162,8 +161,9 @@ Status ArchiveLog::Open() {
     recovery_.records_recovered += scan.records;
     telemetry.archive_recovered_records.fetch_add(
         scan.records, std::memory_order_relaxed);
-    segments_.push_back(
-        Segment{seq, path, scan.records, scan.valid_bytes});
+    seg.records = scan.records;
+    seg.bytes = scan.valid_bytes;
+    segments_.push_back(std::move(seg));
     record_count_ += scan.records;
   }
 
@@ -302,6 +302,7 @@ Status ArchiveLog::Append(const void* payload) {
   }
   seg->bytes += frame_.size();
   ++seg->records;
+  seg->Widen(payload);
   ++record_count_;
   ++appends_since_sync_;
 
@@ -338,30 +339,46 @@ Status ArchiveLog::Sync() {
   return SyncLocked();
 }
 
-Status ArchiveLog::ForEach(
-    const std::function<void(const void* payload)>& fn) {
-  return ForEachTail(UINT64_MAX, fn);
+Status ArchiveLog::ForEachInRange(
+    TimeNs from_ts, TimeNs to_ts,
+    const std::function<void(const void* payload)>& fn,
+    WalScanStats* stats) {
+  return ScanSegments(
+      [&](std::size_t i) {
+        return segments_[i].min_ts <= to_ts && segments_[i].max_ts >= from_ts;
+      },
+      fn, stats);
 }
 
 Status ArchiveLog::ForEachTail(
     std::uint64_t n, const std::function<void(const void* payload)>& fn) {
-  if (active_ != nullptr && std::fflush(active_) != 0) {
+  // Skip whole segments that lie entirely before the requested tail.
+  std::uint64_t kept = 0;
+  std::size_t first = segments_.size();
+  while (first > 0 && kept < n) {
+    --first;
+    kept += segments_[first].records;
+  }
+  return ScanSegments([first](std::size_t i) { return i >= first; }, fn,
+                      nullptr);
+}
+
+Status ArchiveLog::ScanSegments(
+    const std::function<bool(std::size_t index)>& want,
+    const std::function<void(const void*)>& fn, WalScanStats* stats) {
+  if (active_ != nullptr && want(segments_.size() - 1) &&
+      std::fflush(active_) != 0) {
     GlobalTelemetry().archive_write_errors.fetch_add(
         1, std::memory_order_relaxed);
     return IoError("archive flush failed", segments_.back().path);
   }
-  // Skip whole segments that lie entirely before the requested tail.
-  std::size_t first = 0;
-  if (n != UINT64_MAX) {
-    std::uint64_t kept = 0;
-    first = segments_.size();
-    while (first > 0 && kept < n) {
-      --first;
-      kept += segments_[first].records;
-    }
-  }
   std::vector<std::uint8_t> buf;
-  for (std::size_t i = first; i < segments_.size(); ++i) {
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    if (!want(i)) {
+      if (stats != nullptr) ++stats->segments_pruned;
+      continue;
+    }
+    if (stats != nullptr) ++stats->segments_scanned;
     wal::ScanResult scan;
     Status status = ScanSegmentFile(segments_[i].path, buf, scan, fn);
     if (!status.ok()) return status;

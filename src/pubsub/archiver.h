@@ -15,7 +15,9 @@
 // unreadable segments are quarantined (renamed `.corrupt`) — every
 // recovered and dropped byte is counted. Appends are atomic: a failed
 // write, flush, or fsync rolls the segment back to the pre-record offset,
-// so retries can never duplicate or interleave a record.
+// so retries can never duplicate or interleave a record. Each segment
+// keeps in-memory timestamp bounds, so a range read opens only the
+// segments that can hold a matching record.
 //
 // Failed writes are never silent: Append surfaces a Status, AppendWithRetry
 // adds bounded exponential backoff, and every outcome is counted both here
@@ -29,10 +31,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -77,11 +81,23 @@ struct ArchiveRecoveryStats {
   std::uint64_t quarantined_segments = 0; // renamed *.corrupt (bad header)
 };
 
+// Per-read accounting, surfaced through EXPLAIN ANALYZE next to the cold
+// tier's ColdScanStats.
+struct WalScanStats {
+  std::uint64_t segments_scanned = 0;  // read back and CRC-checked
+  std::uint64_t segments_pruned = 0;   // skipped on their timestamp bounds
+};
+
 // Non-template WAL engine behind Archiver<T>: segment files, rotation,
 // retention, fsync policy, and startup recovery over fixed-size payloads.
+// Every payload starts `u64 id | i64 timestamp`; the engine reads the
+// timestamp to keep each segment's [min_ts, max_ts] bounds.
 // Not internally synchronized — Archiver<T> serializes all calls.
 class ArchiveLog {
  public:
+  // Byte offset of the i64 record timestamp inside a payload.
+  static constexpr std::size_t kTimestampOffset = 8;
+
   // `base_path` is the logical archive name; segments live at
   // `<base_path>.<seq>.wal`. Call Open() before anything else.
   ArchiveLog(std::string base_path, std::uint32_t payload_size,
@@ -104,12 +120,18 @@ class ArchiveLog {
   // Flushes and fsyncs the active segment regardless of policy.
   Status Sync();
 
-  // Visits every record payload across live segments in append order.
-  // Stops early (and reports kIoError) if a segment cannot be read back.
-  Status ForEach(const std::function<void(const void* payload)>& fn);
+  // Visits every record of each live segment whose timestamp bounds
+  // overlap [from_ts, to_ts], in append order; the caller filters rows.
+  // Other segments are not opened and count as pruned in `stats` (may be
+  // null). Stops early (and reports kIoError) if a segment cannot be read
+  // back.
+  Status ForEachInRange(TimeNs from_ts, TimeNs to_ts,
+                        const std::function<void(const void* payload)>& fn,
+                        WalScanStats* stats);
 
-  // Like ForEach but only the last `n` records, skipping whole segments
-  // that lie entirely before the tail.
+  // Visits the last `n` records in append order (rounded out to whole
+  // segments: the caller trims the overshoot at the front), skipping
+  // every segment that lies entirely before the tail.
   Status ForEachTail(std::uint64_t n,
                      const std::function<void(const void* payload)>& fn);
 
@@ -155,6 +177,19 @@ class ArchiveLog {
     std::string path;
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
+    // Conservative bounds of the records' timestamps (empty: min > max).
+    // A rolled-back append may leave them wider than the records.
+    TimeNs min_ts = std::numeric_limits<TimeNs>::max();
+    TimeNs max_ts = std::numeric_limits<TimeNs>::min();
+
+    void Widen(const void* payload) {
+      TimeNs ts;
+      std::memcpy(&ts, static_cast<const std::uint8_t*>(payload) +
+                           kTimestampOffset,
+                  sizeof(ts));
+      min_ts = std::min(min_ts, ts);
+      max_ts = std::max(max_ts, ts);
+    }
   };
 
   std::string SegmentPathFor(std::uint64_t seq) const;
@@ -168,6 +203,12 @@ class ArchiveLog {
                          std::vector<std::uint8_t>& buf,
                          wal::ScanResult& result,
                          const std::function<void(const void*)>& fn) const;
+  // The one read loop behind ForEachTail and ForEachInRange: reads and
+  // CRC-checks every live segment `want` selects, flushing the active
+  // segment first only when it is selected.
+  Status ScanSegments(const std::function<bool(std::size_t index)>& want,
+                      const std::function<void(const void*)>& fn,
+                      WalScanStats* stats);
 
   std::string base_path_;
   std::uint32_t payload_size_;
@@ -198,6 +239,8 @@ class Archiver {
     TimeNs timestamp;
     T payload;
   };
+  static_assert(offsetof(Record, timestamp) == ArchiveLog::kTimestampOffset,
+                "ArchiveLog reads the record timestamp at a fixed offset");
 
   // Opens the archive append-safe, recovering any records a previous
   // process left in the segment files (see ArchiveLog). An empty path
@@ -260,21 +303,26 @@ class Archiver {
     return status;
   }
 
-  // Reads every archived record with timestamp in [from_ts, to_ts].
-  // Sequential scan over all live segments — archives are cold storage,
-  // latency is acceptable. Every record re-validates its checksum on the
-  // way back in.
-  Expected<std::vector<Record>> ReadRange(TimeNs from_ts, TimeNs to_ts) {
+  // Reads every archived record with timestamp in [from_ts, to_ts], in
+  // append order. Only segments whose timestamp bounds overlap the range
+  // are read (`stats`, may be null, counts scanned and pruned segments);
+  // every record of a read segment re-validates its checksum on the way
+  // back in.
+  Expected<std::vector<Record>> ReadRange(TimeNs from_ts, TimeNs to_ts,
+                                          WalScanStats* stats = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<Record> out;
     if (log_ != nullptr) {
-      Status status = log_->ForEach([&](const void* payload) {
-        Record rec;
-        std::memcpy(&rec, payload, sizeof(rec));
-        if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
-          out.push_back(rec);
-        }
-      });
+      Status status = log_->ForEachInRange(
+          from_ts, to_ts,
+          [&](const void* payload) {
+            Record rec;
+            std::memcpy(&rec, payload, sizeof(rec));
+            if (rec.timestamp >= from_ts && rec.timestamp <= to_ts) {
+              out.push_back(rec);
+            }
+          },
+          stats);
       if (!status.ok()) return Error(status.code(), status.message());
       return out;
     }

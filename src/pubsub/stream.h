@@ -317,34 +317,16 @@ class Stream {
   }
 
   // Recovery path: seeds an empty stream with entries replayed from the
-  // archive tail, oldest first. Ids are reassigned contiguously from 0
-  // (archived ids can have gaps where appends were dropped) and the
-  // restored prefix is excluded from future archiver evictions — those
-  // records are already on disk. Fails with kFailedPrecondition on a
-  // stream that has ever been appended to, and kInvalidArgument when
-  // `entries` exceeds the capacity.
+  // archive tail, oldest first. Ids are reassigned contiguously so the
+  // window ends at the newest archived id (archived ids can have gaps
+  // where appends were dropped): later evictions then append above every
+  // id already in the archive, keeping archive ids ascending for the
+  // compactor. The restored prefix is excluded from future archiver
+  // evictions — those records are already on disk. Fails with
+  // kFailedPrecondition on a stream that has ever been appended to, and
+  // kInvalidArgument when `entries` exceeds the capacity.
   Status RestoreWindow(const std::vector<Entry>& entries) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (next_id_ != 0) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "RestoreWindow requires an empty stream");
-    }
-    if (entries.size() > capacity_) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "restore batch exceeds stream capacity");
-    }
-    while (ring_.size() < entries.size()) Grow();
-    for (const Entry& entry : entries) {
-      const std::uint64_t id = next_id_++;
-      Entry& slot = ring_[id & mask_];
-      slot = entry;
-      slot.id = id;
-      if constexpr (kHasAggregateIndex) IndexAppend(slot);
-    }
-    restore_limit_ = next_id_;
-    lock.unlock();
-    cv_.notify_all();
-    return Status::Ok();
+    return Restore(entries, /*keep_ids=*/false);
   }
 
   // Restore-from-peer (cluster resync): seeds an empty stream with a
@@ -352,29 +334,45 @@ class Stream {
   // resynced node must assign the same ids as its peers or replication's
   // expected-base check would flag it divergent forever. `entries` must
   // be id-contiguous; the stream's window starts at entries.front().id.
-  // Unlike RestoreWindow, nothing here is re-archived on eviction either
-  // (the peer already holds the durable copy; local archiving resumes
-  // with post-resync appends).
+  // Like RestoreWindow, nothing restored is re-archived on eviction (the
+  // peer already holds the durable copy; local archiving resumes with
+  // post-resync appends).
   Status RestoreWindowAt(const std::vector<Entry>& entries) {
+    return Restore(entries, /*keep_ids=*/true);
+  }
+
+ private:
+  static std::size_t RoundUpPow2(std::size_t n) {
+    std::size_t p = 1;
+    while (p < n) p <<= 1;
+    return p;
+  }
+
+  Status Restore(const std::vector<Entry>& entries, bool keep_ids) {
     std::unique_lock<std::mutex> lock(mu_);
     if (next_id_ != 0) {
       return Status(ErrorCode::kFailedPrecondition,
-                    "RestoreWindowAt requires an empty stream");
+                    keep_ids ? "RestoreWindowAt requires an empty stream"
+                             : "RestoreWindow requires an empty stream");
     }
     if (entries.size() > capacity_) {
       return Status(ErrorCode::kInvalidArgument,
                     "restore batch exceeds stream capacity");
     }
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      if (entries[i].id != entries[i - 1].id + 1) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "restore batch ids not contiguous");
+    if (keep_ids) {
+      for (std::size_t i = 1; i < entries.size(); ++i) {
+        if (entries[i].id != entries[i - 1].id + 1) {
+          return Status(ErrorCode::kInvalidArgument,
+                        "restore batch ids not contiguous");
+        }
       }
     }
     while (ring_.size() < entries.size()) Grow();
     if (!entries.empty()) {
-      first_id_ = entries.front().id;
-      next_id_ = entries.front().id;
+      const std::uint64_t n = entries.size();
+      first_id_ = keep_ids ? entries.front().id
+                           : std::max(entries.back().id + 1, n) - n;
+      next_id_ = first_id_;
     }
     for (const Entry& entry : entries) {
       const std::uint64_t id = next_id_++;
@@ -387,13 +385,6 @@ class Stream {
     lock.unlock();
     cv_.notify_all();
     return Status::Ok();
-  }
-
- private:
-  static std::size_t RoundUpPow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
   }
 
   // First window position whose timestamp >= ts. Positions are offsets from

@@ -351,6 +351,84 @@ TEST(ColdTierService, RecoverReportsColdBlocks) {
   fs::remove_all(dir);
 }
 
+// Recover ends the restored window at the newest archived id, so rows
+// evicted after a restart append above every id already in the WAL. The
+// pre-restart active segment, finished by post-restart evictions, must
+// still compact (block ids have to ascend), and COUNT(*) across ring, WAL
+// and cold stays exact.
+TEST(ColdTierService, CompactsPreRestartSegmentAfterRecover) {
+  const std::string dir = FreshDir("coldtier_restart_compact");
+  auto options_for = [&dir] {
+    ApolloOptions options;
+    options.mode = ApolloOptions::Mode::kSimulated;
+    options.query_threads = 0;
+    options.archive_dir = dir;
+    options.wal = SmallSegments(4);
+    options.coldtier_enabled = true;
+    return options;
+  };
+  FactDeployment deployment;
+  deployment.topic = "metric";
+  deployment.queue_capacity = 4;
+  deployment.publish_only_on_change = false;
+  const std::string count_sql =
+      "SELECT COUNT(*) FROM metric WHERE Timestamp >= 0";
+
+  double durable = 0;
+  std::string active_before;
+  {
+    ApolloService apollo(options_for());
+    std::atomic<int> tick{0};
+    MonitorHook hook{"metric",
+                     [&tick](TimeNs) {
+                       return static_cast<double>(tick.fetch_add(1));
+                     },
+                     0};
+    ASSERT_TRUE(apollo.DeployFact(std::move(hook), deployment).ok());
+    ASSERT_TRUE(apollo.RunFor(Seconds(14)).ok());
+    auto count = apollo.Query(count_sql);  // flushes evictions
+    ASSERT_TRUE(count.ok());
+    // The 4 ring rows are not durable (see RecoverReportsColdBlocks).
+    durable = count->rows[0].values[0] - 4;
+    ASSERT_GT(durable, 8.0);
+    ASSERT_NE(static_cast<int>(durable) % 4, 0)
+        << "the pre-restart active segment must be partly filled";
+  }
+
+  ApolloService apollo(options_for());
+  std::atomic<int> tick{1000};
+  MonitorHook hook{"metric",
+                   [&tick](TimeNs) {
+                     return static_cast<double>(tick.fetch_add(1));
+                   },
+                   0};
+  ASSERT_TRUE(apollo.DeployFact(std::move(hook), deployment).ok());
+  auto report = apollo.Recover();
+  ASSERT_TRUE(report.ok()) << report.error().message();
+  ASSERT_EQ(report->topics_recovered, 1u);
+  auto recovered = apollo.Query(count_sql);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_DOUBLE_EQ(recovered->rows[0].values[0], durable);
+
+  // Publish well past the rotation of the pre-restart active segment.
+  ASSERT_TRUE(apollo.RunFor(Seconds(20)).ok());
+  auto before = apollo.Query(count_sql);
+  ASSERT_TRUE(before.ok());
+  const double total = before->rows[0].values[0];
+  EXPECT_DOUBLE_EQ(total, durable + (tick.load() - 1000));
+
+  auto compacted = apollo.CompactNow();
+  ASSERT_TRUE(compacted.ok()) << compacted.error().message();
+  EXPECT_GT(compacted->blocks_written, 0u);
+  ColdTier* cold = apollo.cold_tier("metric");
+  ASSERT_NE(cold, nullptr);
+  EXPECT_GT(cold->ColdRowCount(), static_cast<std::uint64_t>(durable));
+  auto after = apollo.Query(count_sql);
+  ASSERT_TRUE(after.ok());
+  EXPECT_DOUBLE_EQ(after->rows[0].values[0], total);
+  fs::remove_all(dir);
+}
+
 // TSan leg: a publisher appending, a compactor draining, and two readers
 // (WAL range reads + cold scans) hammer the same archiver+tier. The test
 // asserts conservation at every read: rows observed never exceed rows

@@ -1,15 +1,18 @@
 // AQE query profiler tests: EXPLAIN / EXPLAIN ANALYZE through both the
 // Executor API and the ApolloService query surface. Verifies the rendered
 // plan matches the executed plan (cache hit vs miss, chosen strategy),
-// exact per-vertex row counts against a seeded graph, and that degraded
-// vertices (FaultInjector-crashed) are flagged in the profile.
+// exact per-vertex row counts against a seeded graph, WAL segment pruning
+// on a file-backed archive, and that degraded vertices
+// (FaultInjector-crashed) are flagged in the profile.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "apollo/apollo_service.h"
 #include "aqe/executor.h"
 #include "common/fault.h"
+#include "pubsub/archiver.h"
 #include "pubsub/broker.h"
 
 namespace apollo {
@@ -138,6 +141,56 @@ TEST_F(ExplainTest, ScanPlusArchiveStrategy) {
   EXPECT_EQ(vertex.archive_rows, 16u);
   EXPECT_EQ(vertex.rows_scanned, 20u);  // archive + window
   EXPECT_EQ(vertex.rows_matched, 20u);
+}
+
+// A file-backed WAL with four records per segment: 24 rows through a
+// 4-row ring leave 20 rows in 5 segments, each spanning 4 seconds.
+TEST(ExplainWalTest, AnalyzeReportsWalSegmentPruning) {
+  const std::string dir = testing::TempDir() + "/explain_wal_prune";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WalConfig config;
+  config.segment_bytes =
+      wal::kHeaderSize +
+      4 * (wal::kFrameOverhead + sizeof(Archiver<Sample>::Record));
+  Archiver<Sample> archiver(dir + "/hist.log", config);
+  Broker broker(RealClock::Instance());
+  Executor executor(broker, nullptr);
+  broker.CreateTopic("hist", kLocalNode, /*capacity=*/4, &archiver);
+  for (int i = 0; i < 24; ++i) {
+    broker.Publish(
+        "hist", kLocalNode, Seconds(i),
+        Sample{Seconds(i), static_cast<double>(i), Provenance::kMeasured});
+  }
+  ASSERT_TRUE(broker.GetTopic("hist").value()->FlushEvictions().ok());
+  ASSERT_EQ(archiver.SegmentPaths().size(), 5u);
+
+  // Ring-only range: its WAL leg ends below the first matching ring row,
+  // and every segment's bounds lie before the range.
+  auto ring = executor.Explain(
+      "SELECT COUNT(*) FROM hist WHERE Timestamp >= 20500000000 AND "
+      "Timestamp <= 23000000000",
+      true);
+  ASSERT_TRUE(ring.ok());
+  EXPECT_EQ(ring->vertices[0].strategy, "scan");
+  EXPECT_EQ(ring->vertices[0].rows_matched, 3u);
+  EXPECT_EQ(ring->vertices[0].wal_segments_scanned, 0u);
+  EXPECT_EQ(ring->vertices[0].wal_segments_pruned, 5u);
+  EXPECT_NE(ring->ToText().find("wal_segments_scanned=0 "
+                                "wal_segments_pruned=5"),
+            std::string::npos)
+      << ring->ToText();
+
+  // A range inside the second sealed segment (4 s .. 7 s) reads only it.
+  auto sealed = executor.Explain(
+      "SELECT COUNT(*) FROM hist WHERE Timestamp >= 5000000000 AND "
+      "Timestamp <= 6000000000",
+      true);
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed->vertices[0].strategy, "scan+archive");
+  EXPECT_EQ(sealed->vertices[0].archive_rows, 2u);
+  EXPECT_EQ(sealed->vertices[0].wal_segments_scanned, 1u);
+  EXPECT_EQ(sealed->vertices[0].wal_segments_pruned, 4u);
 }
 
 TEST_F(ExplainTest, PlanCacheHitVisibleInPlanText) {
