@@ -165,7 +165,8 @@ double SeedPublishThroughput(int producers) {
 // bench/preobs/ — namespace-renamed copies, same compiler flags, same
 // out-of-line call structure). The only delta versus the live broker is
 // what this layer added to the publish path: the TRACE_SPAN disabled-check
-// and the obs::Counter cell indirection behind GlobalTelemetry().
+// and the Broker's obs::Counter handle bump (one relaxed add on a registry
+// cell).
 
 double RawPublishThroughput(int producers) {
   double best = 0.0;

@@ -180,7 +180,7 @@ class ApolloService {
 
   // Prometheus text exposition of the process-wide metrics registry —
   // every counter/gauge/histogram the fabric, vertices, archivers, and AQE
-  // registered, including the TelemetryCounters facade.
+  // registered.
   std::string DumpMetrics() const;
 
   // --- push-style subscriptions ---

@@ -144,7 +144,10 @@ Executor::Executor(Broker& broker, ThreadPool* pool, ExecutorOptions options)
           "Queries that parsed and planned from scratch")),
       query_latency_(obs::MetricsRegistry::Global().GetHistogram(
           "apollo_aqe_query_duration_ns",
-          "AQE query end-to-end latency (broker clock)")) {}
+          "AQE query end-to-end latency (broker clock)")),
+      archive_read_errors_(obs::MetricsRegistry::Global().GetCounter(
+          "apollo_archive_read_errors_total",
+          "Archive scans that failed on the query path")) {}
 
 bool Executor::StripExplainPrefix(std::string_view text,
                                   std::string_view& rest, bool& analyze) {
@@ -569,8 +572,7 @@ Expected<std::vector<ResultRow>> Executor::ExecuteSelect(
       } else {
         // Unreadable archive: answer from the in-memory window alone, but
         // never silently — the counter makes the degraded read visible.
-        GlobalTelemetry().archive_read_errors.fetch_add(
-            1, std::memory_order_relaxed);
+        archive_read_errors_.Inc();
       }
     }
     // Cold rows are strictly older than everything still in the WAL

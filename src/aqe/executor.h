@@ -133,6 +133,8 @@ class Executor {
   obs::Counter plan_cache_hits_;
   obs::Counter plan_cache_misses_;
   obs::Histogram query_latency_;
+  // Bumped from the const scan path.
+  mutable obs::Counter archive_read_errors_;
 
   mutable std::mutex cache_mu_;
   std::unordered_map<std::string, std::shared_ptr<const Plan>> plan_cache_;

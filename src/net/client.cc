@@ -14,7 +14,6 @@
 
 #include "net/transport.h"
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 
@@ -50,16 +49,44 @@ Expected<Reply> DecodeReply(Expected<Frame> frame, const char* what) {
 }  // namespace
 
 ApolloClient::ApolloClient(ClientConfig config)
-    : config_(std::move(config)),
-      clock_(RealClock::Instance()),
-      rtt_(obs::MetricsRegistry::Global().GetHistogram(
-          "apollo_net_request_rtt_ns",
-          "Client request round-trip time (ns)")),
-      batch_size_(obs::MetricsRegistry::Global().GetHistogram(
-          "apollo_net_batch_size", "Samples per flushed publish batch")),
-      flush_latency_(obs::MetricsRegistry::Global().GetHistogram(
-          "apollo_net_flush_latency_ns",
-          "PublishAsync flush latency, send to cumulative ack (ns)")) {}
+    : config_(std::move(config)), clock_(RealClock::Instance()) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  rtt_ = reg.GetHistogram("apollo_net_request_rtt_ns",
+                          "Client request round-trip time (ns)");
+  batch_size_ = reg.GetHistogram("apollo_net_batch_size",
+                                 "Samples per flushed publish batch");
+  flush_latency_ = reg.GetHistogram(
+      "apollo_net_flush_latency_ns",
+      "PublishAsync flush latency, send to cumulative ack (ns)");
+  bytes_sent_ = reg.GetCounter("apollo_net_bytes_sent_total",
+                               "Wire bytes written to sockets");
+  bytes_received_ = reg.GetCounter("apollo_net_bytes_received_total",
+                                   "Wire bytes read from sockets");
+  messages_sent_ =
+      reg.GetCounter("apollo_net_messages_sent_total", "Wire frames sent");
+  messages_received_ = reg.GetCounter("apollo_net_messages_received_total",
+                                      "Wire frames received and dispatched");
+  connections_opened_ =
+      reg.GetCounter("apollo_net_connections_opened_total",
+                     "Connections accepted or established");
+  connections_closed_ = reg.GetCounter("apollo_net_connections_closed_total",
+                                       "Connections closed (any reason)");
+  conn_drops_ =
+      reg.GetCounter("apollo_net_conn_drops_total",
+                     "Connections dropped by injected kConnDrop faults");
+  send_failures_ =
+      reg.GetCounter("apollo_net_send_failures_total",
+                     "Frame sends failed (injected or socket error)");
+  recv_drops_ =
+      reg.GetCounter("apollo_net_recv_drops_total",
+                     "Received frames dropped by injected kNetRecv faults");
+  protocol_errors_ =
+      reg.GetCounter("apollo_net_protocol_errors_total",
+                     "Connections closed on bad magic/version/CRC");
+  shm_fallbacks_ = reg.GetCounter(
+      "apollo_net_shm_fallbacks_total",
+      "Samples rerouted to TCP because the shm lane was full or down");
+}
 
 ApolloClient::~ApolloClient() {
   if (connected() && !queue_.empty()) (void)Flush();
@@ -152,7 +179,7 @@ Status ApolloClient::ConnectOnce(TimeNs deadline) {
   fd_ = fd;
   parser_ = FrameParser();
   pending_.clear();
-  GlobalTelemetry().net_connections_opened.Inc();
+  connections_opened_.Inc();
 
   HelloMsg hello;
   hello.client_name = config_.client_name;
@@ -178,7 +205,7 @@ void ApolloClient::Close() {
   if (fd_ < 0) return;
   ::close(fd_);
   fd_ = -1;
-  GlobalTelemetry().net_connections_closed.Inc();
+  connections_closed_.Inc();
   // The shm lane dies with the connection (the daemon drains what made it
   // into the ring before unmapping, so ring contents are not lost).
   shm_producer_.reset();
@@ -201,12 +228,11 @@ Status ApolloClient::FailClose(ErrorCode code, const std::string& message) {
 Status ApolloClient::SendRequest(MsgType type, std::uint32_t request_id,
                                  const Payload& payload, std::uint16_t flags) {
   TRACE_SPAN("net.send", MsgTypeName(type));
-  auto& telemetry = GlobalTelemetry();
   if (FaultInjector* injector = fault_.load(std::memory_order_acquire)) {
     if (auto action =
             injector->Evaluate(FaultSite::kNetSend, MsgTypeName(type))) {
       if (action->fails()) {
-        telemetry.net_send_failures.Inc();
+        send_failures_.Inc();
         return Status(ErrorCode::kUnavailable, "injected send failure");
       }
       clock_.Charge(action->delay_ns);
@@ -231,17 +257,17 @@ Status ApolloClient::SendRequest(MsgType type, std::uint32_t request_id,
       const int rc = ::poll(&pfd, 1, PollTimeoutMs(clock_, deadline));
       if (rc < 0 && errno == EINTR) continue;
       if (rc <= 0) {
-        telemetry.net_send_failures.Inc();
+        send_failures_.Inc();
         return FailClose(ErrorCode::kUnavailable, "send timed out");
       }
       continue;
     }
-    telemetry.net_send_failures.Inc();
+    send_failures_.Inc();
     return FailClose(ErrorCode::kIoError,
                      std::string("write: ") + std::strerror(errno));
   }
-  telemetry.net_bytes_sent.Inc(bytes.size());
-  telemetry.net_messages_sent.Inc();
+  bytes_sent_.Inc(bytes.size());
+  messages_sent_.Inc();
   return Status::Ok();
 }
 
@@ -257,7 +283,6 @@ Status ApolloClient::ReadSome(TimeNs deadline) {
     }
     break;
   }
-  auto& telemetry = GlobalTelemetry();
   std::uint8_t buf[64 * 1024];
   while (true) {
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
@@ -270,9 +295,9 @@ Status ApolloClient::ReadSome(TimeNs deadline) {
     if (n == 0) {
       return FailClose(ErrorCode::kUnavailable, "connection closed by peer");
     }
-    telemetry.net_bytes_received.Inc(static_cast<std::uint64_t>(n));
+    bytes_received_.Inc(static_cast<std::uint64_t>(n));
     if (!parser_.Feed(buf, static_cast<std::size_t>(n))) {
-      telemetry.net_protocol_errors.Inc();
+      protocol_errors_.Inc();
       return FailClose(ErrorCode::kIoError,
                        "protocol error: " + parser_.error());
     }
@@ -286,7 +311,7 @@ Status ApolloClient::ReadSome(TimeNs deadline) {
     if (injector != nullptr) {
       if (auto action = injector->Evaluate(FaultSite::kConnDrop, label)) {
         if (action->fails()) {
-          telemetry.net_conn_drops.Inc();
+          conn_drops_.Inc();
           return FailClose(ErrorCode::kUnavailable,
                            "injected connection drop");
         }
@@ -294,13 +319,13 @@ Status ApolloClient::ReadSome(TimeNs deadline) {
       }
       if (auto action = injector->Evaluate(FaultSite::kNetRecv, label)) {
         if (action->fails()) {
-          telemetry.net_recv_drops.Inc();
+          recv_drops_.Inc();
           continue;  // frame lost in flight
         }
         clock_.Charge(action->delay_ns);
       }
     }
-    telemetry.net_messages_received.Inc();
+    messages_received_.Inc();
     if (frame.type == MsgType::kDeliver && frame.request_id == 0) {
       DeliverMsg deliver;
       if (DeliverMsg::Decode(frame.payload, deliver)) {
@@ -450,7 +475,7 @@ Status ApolloClient::PublishAsync(const std::string& topic, TimeNs timestamp,
       slot.provenance = static_cast<std::uint8_t>(sample.provenance);
       if (shm_producer_->TryPush(slot)) return Status::Ok();
       // Ring full (consumer behind): this sample rides the TCP queue.
-      GlobalTelemetry().net_shm_fallbacks.Inc();
+      shm_fallbacks_.Inc();
     }
   }
   if (queue_.empty()) oldest_queued_ = clock_.Now();
@@ -525,7 +550,6 @@ Expected<PublishBatchAckMsg> ApolloClient::PublishBatch(
 }
 
 Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
-  auto& telemetry = GlobalTelemetry();
   if (topics.empty()) {
     return Status(ErrorCode::kInvalidArgument, "no topics for shm lane");
   }
@@ -540,7 +564,7 @@ Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
       std::to_string(lane_seq.fetch_add(1, std::memory_order_relaxed));
   auto producer = ShmLaneProducer::Create(name, config_.shm_slots);
   if (!producer.ok()) {
-    telemetry.net_shm_fallbacks.Inc();
+    shm_fallbacks_.Inc();
     return producer.status();
   }
   ShmAttachMsg offer;
@@ -552,13 +576,13 @@ Status ApolloClient::EnableShmLane(const std::vector<std::string>& topics) {
                 MsgType::kShmAttachAck),
       "shm attach ack");
   if (!ack.ok()) {
-    telemetry.net_shm_fallbacks.Inc();
+    shm_fallbacks_.Inc();
     return ack.status();
   }
   if (!ack->accepted) {
     // The fallback handshake: the producer (and its segment) go away and
     // every PublishAsync rides the TCP batch path.
-    telemetry.net_shm_fallbacks.Inc();
+    shm_fallbacks_.Inc();
     return Status(ErrorCode::kUnavailable,
                   ack->message.empty() ? "shm offer refused" : ack->message);
   }

@@ -282,6 +282,19 @@ class ApolloClient {
   bool reestablishing_ = false;
   std::atomic<FaultInjector*> fault_{nullptr};
   obs::Histogram rtt_;
+  // This end's wire counters (net::Server counts the other end under the
+  // same names) and shm fallbacks, resolved at construction.
+  obs::Counter bytes_sent_;
+  obs::Counter bytes_received_;
+  obs::Counter messages_sent_;
+  obs::Counter messages_received_;
+  obs::Counter connections_opened_;
+  obs::Counter connections_closed_;
+  obs::Counter conn_drops_;
+  obs::Counter send_failures_;
+  obs::Counter recv_drops_;
+  obs::Counter protocol_errors_;
+  obs::Counter shm_fallbacks_;
 
   // Batching state.
   std::vector<QueuedSample> queue_;

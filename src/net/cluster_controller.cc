@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 
@@ -60,6 +59,40 @@ ClusterController::ClusterController(Broker& broker, ClusterNodeConfig config)
       membership_(config_.self, generation_, MembersFromPeers(config_.members),
                   cluster::MembershipConfig{config_.suspect_after,
                                             config_.dead_after}) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  heartbeats_sent_ = reg.GetCounter("apollo_cluster_heartbeats_sent_total",
+                                    "Membership probes sent to peers");
+  heartbeat_failures_ = reg.GetCounter(
+      "apollo_cluster_heartbeat_failures_total",
+      "Membership probe round-trips that failed or were dropped");
+  peer_suspects_ = reg.GetCounter("apollo_cluster_peer_suspects_total",
+                                  "Peer transitions from alive to suspect");
+  peer_deaths_ = reg.GetCounter("apollo_cluster_peer_deaths_total",
+                                "Peer transitions to dead (failed over)");
+  peer_recoveries_ =
+      reg.GetCounter("apollo_cluster_peer_recoveries_total",
+                     "Dead peers observed again (restart or partition heal)");
+  map_pushes_ = reg.GetCounter(
+      "apollo_cluster_map_pushes_total",
+      "Cluster map pushes to connected clients on membership change");
+  forwarded_publishes_ =
+      reg.GetCounter("apollo_cluster_forwarded_publishes_total",
+                     "Publish runs proxied to the topic's primary");
+  replication_batches_ =
+      reg.GetCounter("apollo_cluster_replication_batches_total",
+                     "Replicate round-trips sent to secondaries");
+  replication_failures_ =
+      reg.GetCounter("apollo_cluster_replication_failures_total",
+                     "Replicate round-trips that failed or were refused");
+  quorum_failures_ = reg.GetCounter(
+      "apollo_cluster_quorum_failures_total",
+      "Publish runs NACKed because the write quorum was not met");
+  resync_topics_ = reg.GetCounter("apollo_cluster_resync_topics_total",
+                                  "Topics caught up from a peer during resync");
+  resync_entries_ = reg.GetCounter("apollo_cluster_resync_entries_total",
+                                   "Entries copied from peers during resync");
+  publish_drops_ = reg.GetCounter("apollo_publish_drops_total",
+                                  "Publishes dropped by injected faults");
   membership_.SetQuorum(config_.replication_factor, config_.write_quorum);
   for (const ClusterPeer& p : config_.members) {
     if (p.name == config_.self) continue;
@@ -151,7 +184,6 @@ void ClusterController::ProbeLoop() {
 }
 
 void ClusterController::ProbeRound(TimeNs now) {
-  auto& telemetry = GlobalTelemetry();
   HeartbeatMsg hb;
   hb.sender = config_.self;
   hb.generation = generation_;
@@ -163,17 +195,17 @@ void ClusterController::ProbeRound(TimeNs now) {
               injector->Evaluate(FaultSite::kHeartbeatLoss, name)) {
         if (action->fails()) {
           // Dropped probe: the peer goes silent from our side this round.
-          telemetry.cluster_heartbeat_failures.Inc();
+          heartbeat_failures_.Inc();
           membership_.ProbeFailed(name, now);
           continue;
         }
         broker_.clock().Charge(action->delay_ns);
       }
     }
-    telemetry.cluster_heartbeats_sent.Inc();
+    heartbeats_sent_.Inc();
     auto ack = peer.probe->Heartbeat(hb);
     if (!ack.ok()) {
-      telemetry.cluster_heartbeat_failures.Inc();
+      heartbeat_failures_.Inc();
       membership_.ProbeFailed(name, now);
       continue;
     }
@@ -184,7 +216,6 @@ void ClusterController::ProbeRound(TimeNs now) {
 
 bool ClusterController::DoResync() {
   TRACE_SPAN("cluster.resync");
-  auto& telemetry = GlobalTelemetry();
   // Sources: every contactable peer's topic list. A topic listed nowhere
   // else is already as caught up as it can get.
   std::map<std::string, std::vector<std::string>> topic_sources;
@@ -232,7 +263,7 @@ bool ClusterController::DoResync() {
       }
     }
     if (done) {
-      telemetry.cluster_resync_topics.Inc();
+      resync_topics_.Inc();
     } else {
       complete = false;
     }
@@ -242,7 +273,6 @@ bool ClusterController::DoResync() {
 
 bool ClusterController::ResyncTopicFrom(Peer& source,
                                         const std::string& topic) {
-  auto& telemetry = GlobalTelemetry();
   auto stream = broker_.EnsureTopic(topic);
   if (!stream.ok()) return false;
   // Bounded only as a runaway guard: each pull advances NextId or exits.
@@ -281,7 +311,7 @@ bool ClusterController::ResyncTopicFrom(Peer& source,
         if (!applied.ok()) return false;
       }
     }
-    telemetry.cluster_resync_entries.Inc(chunk->entries.size());
+    resync_entries_.Inc(chunk->entries.size());
     if ((*stream)->NextId() >= chunk->high_water) return true;
   }
   return false;
@@ -292,25 +322,24 @@ void ClusterController::MaybePushMap() {
   const cluster::ClusterMap map = membership_.Snapshot();
   if (map.version == last_pushed_version_ || !push_) return;
   last_pushed_version_ = map.version;
-  GlobalTelemetry().cluster_map_pushes.Inc();
+  map_pushes_.Inc();
   push_(map);
 }
 
 void ClusterController::SyncCounters() {
-  auto& telemetry = GlobalTelemetry();
   const std::uint64_t suspects = membership_.Suspects();
   const std::uint64_t deaths = membership_.Deaths();
   const std::uint64_t recoveries = membership_.Recoveries();
   if (suspects > seen_suspects_) {
-    telemetry.cluster_peer_suspects.Inc(suspects - seen_suspects_);
+    peer_suspects_.Inc(suspects - seen_suspects_);
     seen_suspects_ = suspects;
   }
   if (deaths > seen_deaths_) {
-    telemetry.cluster_peer_deaths.Inc(deaths - seen_deaths_);
+    peer_deaths_.Inc(deaths - seen_deaths_);
     seen_deaths_ = deaths;
   }
   if (recoveries > seen_recoveries_) {
-    telemetry.cluster_peer_recoveries.Inc(recoveries - seen_recoveries_);
+    peer_recoveries_.Inc(recoveries - seen_recoveries_);
     seen_recoveries_ = recoveries;
   }
 }
@@ -336,7 +365,6 @@ void ClusterController::HandleHeartbeat(const HeartbeatMsg& msg,
 
 void ClusterController::HandleReplicate(const ReplicateMsg& msg,
                                         ReplicateAckMsg& ack) {
-  auto& telemetry = GlobalTelemetry();
   auto stream = broker_.EnsureTopic(msg.topic);
   if (!stream.ok()) {
     ack.verdict = ReplicateAckMsg::Verdict::kRefused;
@@ -350,14 +378,14 @@ void ClusterController::HandleReplicate(const ReplicateMsg& msg,
     ack.verdict = ReplicateAckMsg::Verdict::kBehind;
     ack.next_id = next;
     resync_needed_.store(true, std::memory_order_release);
-    telemetry.cluster_replication_failures.Inc();
+    replication_failures_.Inc();
     return;
   }
   if (next > msg.expected_base) {
     // The PRIMARY is behind us — it must resync before writing.
     ack.verdict = ReplicateAckMsg::Verdict::kAhead;
     ack.next_id = next;
-    telemetry.cluster_replication_failures.Inc();
+    replication_failures_.Inc();
     return;
   }
   auto handle = broker_.Resolve(msg.topic);
@@ -407,7 +435,6 @@ void ClusterController::FailRun(PublishBatchAckMsg& ack, std::size_t base,
 void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
                                    PublishBatchAckMsg& ack) {
   TRACE_SPAN("cluster.route_batch");
-  auto& telemetry = GlobalTelemetry();
   const cluster::ClusterMap map = membership_.Snapshot();
   std::size_t base = 0;
   for (const PublishBatchMsg::Run& run : msg.runs) {
@@ -440,7 +467,7 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
       }
       PublishBatchMsg sub;
       sub.runs.push_back(run);
-      telemetry.cluster_forwarded_publishes.Inc();
+      forwarded_publishes_.Inc();
       auto sub_ack = peer->second.route->PublishBatch(sub, kFlagForwarded);
       if (!sub_ack.ok()) {
         FailRun(ack, base, n, sub_ack.error().code(),
@@ -480,7 +507,7 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
       if (injector != nullptr) {
         if (auto action = injector->Evaluate(FaultSite::kPublish, run.topic)) {
           if (action->fails()) {
-            telemetry.publish_drops.Inc();
+            publish_drops_.Inc();
             ack.MarkFailed(static_cast<std::uint32_t>(base + i));
             if (ack.first_error.empty()) {
               ack.first_error_code = ErrorCode::kUnavailable;
@@ -501,7 +528,7 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
       if (injector != nullptr) {
         if (auto action = injector->Evaluate(FaultSite::kReplicaLag, name)) {
           if (action->fails()) {
-            telemetry.cluster_replication_failures.Inc();
+            replication_failures_.Inc();
             continue;  // replica skipped this round; resyncs via kBehind
           }
           broker_.clock().Charge(action->delay_ns);
@@ -514,10 +541,10 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
       rep.topic = run.topic;
       rep.expected_base = expected_base;
       rep.entries = survivors;
-      telemetry.cluster_replication_batches.Inc();
+      replication_batches_.Inc();
       auto verdict = peer->second.route->Replicate(rep);
       if (!verdict.ok()) {
-        telemetry.cluster_replication_failures.Inc();
+        replication_failures_.Inc();
         continue;
       }
       if (verdict->verdict == ReplicateAckMsg::Verdict::kApplied) {
@@ -544,7 +571,7 @@ void ClusterController::RouteBatch(const PublishBatchMsg& msg, bool forwarded,
     if (acks < std::min<std::uint32_t>(
                    config_.write_quorum,
                    static_cast<std::uint32_t>(replicas.size()))) {
-      telemetry.cluster_quorum_failures.Inc();
+      quorum_failures_.Inc();
       FailRun(ack, base, n, ErrorCode::kUnavailable,
               "write quorum not met for " + run.topic + " (" +
                   std::to_string(acks) + "/" +

@@ -56,6 +56,7 @@
 #include "common/expected.h"
 #include "net/client.h"
 #include "net/messages.h"
+#include "obs/metrics.h"
 #include "pubsub/broker.h"
 
 namespace apollo::net {
@@ -143,7 +144,8 @@ class ClusterController {
   bool ResyncTopicFrom(Peer& source, const std::string& topic);
   // Pushes the current map through `push_` when the version moved.
   void MaybePushMap();
-  // Mirrors membership counters into GlobalTelemetry (delta-based).
+  // Mirrors membership counters into the apollo_cluster_peer_* counters
+  // (delta-based).
   void SyncCounters();
   // Replica members for `topic` under `map` (alive-walk). Order is ring
   // order: [0] is the primary.
@@ -173,10 +175,26 @@ class ClusterController {
   // resync.
   std::atomic<bool> resync_needed_{true};
 
-  // Last membership counter values mirrored into telemetry.
+  // Last membership counter values mirrored into the registry.
   std::uint64_t seen_suspects_ = 0;
   std::uint64_t seen_deaths_ = 0;
   std::uint64_t seen_recoveries_ = 0;
+
+  // Cluster counters (plus the broker's publish-drop counter, shared by
+  // name), resolved at construction.
+  obs::Counter heartbeats_sent_;
+  obs::Counter heartbeat_failures_;
+  obs::Counter peer_suspects_;
+  obs::Counter peer_deaths_;
+  obs::Counter peer_recoveries_;
+  obs::Counter map_pushes_;
+  obs::Counter forwarded_publishes_;
+  obs::Counter replication_batches_;
+  obs::Counter replication_failures_;
+  obs::Counter quorum_failures_;
+  obs::Counter resync_topics_;
+  obs::Counter resync_entries_;
+  obs::Counter publish_drops_;
 };
 
 // Builds a MembershipTable member list from the configured peers.

@@ -22,6 +22,26 @@ ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
       server_(loop_, config_.server, *this),
       cq_engine_(broker, config_.cq),
       admission_(config_.admission) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  batch_publishes_ = reg.GetCounter("apollo_net_batch_publishes_total",
+                                    "Batch publish frames handled by daemons");
+  batch_samples_ = reg.GetCounter("apollo_net_batch_samples_total",
+                                  "Samples carried in batch publish frames");
+  batch_decode_errors_ =
+      reg.GetCounter("apollo_net_batch_decode_errors_total",
+                     "Batch publish frames rejected before handoff");
+  batch_sample_errors_ =
+      reg.GetCounter("apollo_net_batch_sample_errors_total",
+                     "Per-sample batch failures reported in ack bitmaps");
+  shm_attaches_ =
+      reg.GetCounter("apollo_net_shm_attaches_total",
+                     "Shared-memory ingest lanes accepted by daemons");
+  shm_attach_failures_ =
+      reg.GetCounter("apollo_net_shm_attach_failures_total",
+                     "Shared-memory lane handshakes refused or failed");
+  shm_samples_ =
+      reg.GetCounter("apollo_net_shm_samples_total",
+                     "Samples drained from shared-memory ingest rings");
   if (config_.cluster.enabled) {
     // Shm-lane samples skip the frame path, so they would land on this
     // replica only — refuse offers and keep every publish on RouteBatch.
@@ -292,10 +312,9 @@ void ApolloDaemon::HandlePublish(Connection& conn, const Frame& frame) {
 
 void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
   TRACE_SPAN("net.publish_batch");
-  auto& telemetry = GlobalTelemetry();
   PublishBatchMsg msg;
   if (!PublishBatchMsg::Decode(frame.payload, msg)) {
-    telemetry.net_batch_decode_errors.Inc();
+    batch_decode_errors_.Inc();
     SendError(conn, frame.request_id, ErrorCode::kParseError, "bad batch");
     return;
   }
@@ -306,7 +325,7 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
     if (auto action =
             injector->Evaluate(FaultSite::kBatchDecode, msg.runs[0].topic)) {
       if (action->fails()) {
-        telemetry.net_batch_decode_errors.Inc();
+        batch_decode_errors_.Inc();
         SendError(conn, frame.request_id, ErrorCode::kUnavailable,
                   "batch decode fault injected");
         return;
@@ -326,11 +345,10 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
       PublishBatchAckMsg route_ack;
       route_ack.Resize(static_cast<std::uint32_t>(total));
       controller_->RouteBatch(msg, forwarded, route_ack);
-      auto& counters = GlobalTelemetry();
-      counters.net_batch_publishes.Inc();
-      counters.net_batch_samples.Inc(total);
+      batch_publishes_.Inc();
+      batch_samples_.Inc(total);
       if (route_ack.error_count > 0) {
-        counters.net_batch_sample_errors.Inc(route_ack.error_count);
+        batch_sample_errors_.Inc(route_ack.error_count);
       }
       loop_.Post([this, conn_id, request_id, route_ack] {
         Connection* reply_conn = server_.FindConnection(conn_id);
@@ -380,20 +398,19 @@ void ApolloDaemon::HandlePublishBatch(Connection& conn, const Frame& frame) {
     if (result->accepted > 0) ack.last_entry_id = result->last_entry_id;
     base += n;
   }
-  telemetry.net_batch_publishes.Inc();
-  telemetry.net_batch_samples.Inc(total);
+  batch_publishes_.Inc();
+  batch_samples_.Inc(total);
   if (ack.error_count > 0) {
-    telemetry.net_batch_sample_errors.Inc(ack.error_count);
+    batch_sample_errors_.Inc(ack.error_count);
   }
   SendMsg(conn, MsgType::kPublishBatchAck, frame.request_id, ack);
 }
 
 void ApolloDaemon::HandleShmAttach(Connection& conn, const Frame& frame) {
-  auto& telemetry = GlobalTelemetry();
   ShmAttachMsg msg;
   ShmAttachAckMsg ack;
   auto refuse = [&](const std::string& why) {
-    telemetry.net_shm_attach_failures.Inc();
+    shm_attach_failures_.Inc();
     ack.accepted = false;
     ack.message = why;
     SendMsg(conn, MsgType::kShmAttachAck, frame.request_id, ack);
@@ -430,7 +447,7 @@ void ApolloDaemon::HandleShmAttach(Connection& conn, const Frame& frame) {
   lane.topics = std::move(msg.topics);
   lane.handles.resize(lane.topics.size());
   shm_lanes_[conn.id()] = std::move(lane);
-  telemetry.net_shm_attaches.Inc();
+  shm_attaches_.Inc();
   ack.accepted = true;
   SendMsg(conn, MsgType::kShmAttachAck, frame.request_id, ack);
 }
@@ -754,13 +771,12 @@ void ApolloDaemon::PumpCQ() {
 }
 
 void ApolloDaemon::DrainShmLanes() {
-  auto& telemetry = GlobalTelemetry();
   for (auto& [conn_id, lane] : shm_lanes_) {
     lane.scratch.clear();
     if (lane.consumer->Drain(lane.scratch, config_.shm_drain_batch) == 0) {
       continue;
     }
-    telemetry.net_shm_samples.Inc(lane.scratch.size());
+    shm_samples_.Inc(lane.scratch.size());
     // Group consecutive same-topic slots into one PublishBatch run each —
     // the same lock-once-per-run handoff the TCP batch path takes.
     std::vector<TelemetryStream::Entry> run;

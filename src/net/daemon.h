@@ -46,6 +46,7 @@
 #include "net/messages.h"
 #include "net/shm_lane.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "pubsub/broker.h"
 
 namespace apollo::net {
@@ -210,6 +211,15 @@ class ApolloDaemon final : public FrameHandler {
   // every client, not just subscribers.
   std::set<std::uint64_t> conns_;
   TimerId pump_timer_ = 0;
+
+  // Batch and shm-lane ingest counters, resolved at construction.
+  obs::Counter batch_publishes_;
+  obs::Counter batch_samples_;
+  obs::Counter batch_decode_errors_;
+  obs::Counter batch_sample_errors_;
+  obs::Counter shm_attaches_;
+  obs::Counter shm_attach_failures_;
+  obs::Counter shm_samples_;
 };
 
 }  // namespace apollo::net

@@ -7,13 +7,18 @@
 #include "aqe/remote.h"
 #include "cluster/placement.h"
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 
 RemoteQueryEngine::RemoteQueryEngine(std::vector<RemoteNode> nodes,
                                      RemoteQueryOptions options)
-    : options_(options) {
+    : options_(options),
+      node_timeouts_(obs::MetricsRegistry::Global().GetCounter(
+          "apollo_net_node_timeouts_total",
+          "Scatter-gather node queries past their deadline")),
+      degraded_fallbacks_(obs::MetricsRegistry::Global().GetCounter(
+          "apollo_net_degraded_fallbacks_total",
+          "Node answers served from last-known-good cache")) {
   nodes_.reserve(nodes.size());
   for (RemoteNode& info : nodes) {
     ClientConfig config;
@@ -175,7 +180,6 @@ void RemoteQueryEngine::DispatchAndGather(std::vector<Leg>& legs,
 }
 
 Expected<aqe::ResultSet> RemoteQueryEngine::Gather(const Route& route) {
-  auto& telemetry = GlobalTelemetry();
   Clock& clock = RealClock::Instance();
   aqe::ResultSet merged;
   std::vector<NodeOutcome> outcomes(nodes_.size());
@@ -217,7 +221,7 @@ Expected<aqe::ResultSet> RemoteQueryEngine::Gather(const Route& route) {
         if (!first_error.has_value()) first_error = leg.reply.error();
         failed.insert(leg.node);
         map_stale_ = true;
-        telemetry.net_node_timeouts.Inc();
+        node_timeouts_.Inc();
         continue;
       }
       Status status = aqe::MergeResult(merged, leg.reply->result);
@@ -262,7 +266,7 @@ Expected<aqe::ResultSet> RemoteQueryEngine::Gather(const Route& route) {
       Status status = aqe::MergeResult(merged, stale);
       if (!status.ok()) return Error(status.code(), status.message());
       outcomes[node].from_cache = true;
-      telemetry.net_degraded_fallbacks.Inc();
+      degraded_fallbacks_.Inc();
     }
     if (!all_cached) merged.degraded = true;
   }

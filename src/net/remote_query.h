@@ -46,6 +46,7 @@
 #include "common/expected.h"
 #include "common/fault.h"
 #include "net/client.h"
+#include "obs/metrics.h"
 
 namespace apollo::net {
 
@@ -141,6 +142,8 @@ class RemoteQueryEngine {
 
   std::vector<Node> nodes_;
   RemoteQueryOptions options_;
+  obs::Counter node_timeouts_;
+  obs::Counter degraded_fallbacks_;
 
   mutable std::mutex mu_;  // serializes Execute; guards everything below
   // Last-known-good answers keyed by (node name, query text).

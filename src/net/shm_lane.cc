@@ -12,7 +12,7 @@
 #include <new>
 #include <string_view>
 
-#include "pubsub/telemetry.h"
+#include "obs/metrics.h"
 
 namespace apollo::net {
 
@@ -166,6 +166,9 @@ int ShmLaneOwnerPid(const std::string& name) {
 }
 
 std::size_t ReapOrphanShmLanes() {
+  static obs::Counter reaped_total = obs::MetricsRegistry::Global().GetCounter(
+      "apollo_net_shm_orphans_reaped_total",
+      "Orphaned shm lane segments unlinked after their producer died");
   // POSIX shm names surface as files in /dev/shm on Linux; scanning the
   // directory is the only portable-enough way to enumerate them.
   DIR* dir = ::opendir("/dev/shm");
@@ -181,10 +184,7 @@ std::size_t ReapOrphanShmLanes() {
     if (::shm_unlink(shm_name.c_str()) == 0) ++reaped;
   }
   ::closedir(dir);
-  if (reaped > 0) {
-    GlobalTelemetry().net_shm_orphans_reaped.fetch_add(
-        reaped, std::memory_order_relaxed);
-  }
+  reaped_total.Inc(reaped);
   return reaped;
 }
 

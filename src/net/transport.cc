@@ -14,7 +14,6 @@
 #include <cstring>
 
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 
@@ -84,11 +83,10 @@ bool Connection::SendFrame(MsgType type, std::uint32_t request_id,
                            std::uint16_t flags, bool droppable) {
   TRACE_SPAN("net.send", MsgTypeName(type));
   if (closing_) return false;
-  auto& telemetry = GlobalTelemetry();
   if (auto action =
           server_.EvaluateFault(FaultSite::kNetSend, MsgTypeName(type))) {
     if (action->fails()) {
-      telemetry.net_send_failures.Inc();
+      server_.send_failures_.Inc();
       if (droppable) return false;
       Close();  // the peer is waiting for this frame; fail loudly
       return false;
@@ -98,10 +96,10 @@ bool Connection::SendFrame(MsgType type, std::uint32_t request_id,
   if (out_bytes_ + kHeaderSize + payload.size() >
       server_.config().max_outbound_bytes) {
     if (droppable) {
-      telemetry.net_backpressure_skips.Inc();
+      server_.backpressure_skips_.Inc();
       return false;
     }
-    telemetry.net_send_failures.Inc();
+    server_.send_failures_.Inc();
     Close();
     return false;
   }
@@ -110,7 +108,7 @@ bool Connection::SendFrame(MsgType type, std::uint32_t request_id,
   EncodeFrame(buf, type, request_id, payload, flags);
   out_bytes_ += buf.size();
   outbound_.push_back(std::move(buf));
-  telemetry.net_messages_sent.Inc();
+  server_.messages_sent_.Inc();
   if (cork_depth_ == 0) server_.FlushConn(*this);
   return true;
 }
@@ -125,7 +123,39 @@ void Connection::Uncork() {
 // --- Server ---
 
 Server::Server(EventLoop& loop, ServerConfig config, FrameHandler& handler)
-    : loop_(loop), config_(std::move(config)), handler_(handler) {}
+    : loop_(loop), config_(std::move(config)), handler_(handler) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  bytes_sent_ = reg.GetCounter("apollo_net_bytes_sent_total",
+                               "Wire bytes written to sockets");
+  bytes_received_ = reg.GetCounter("apollo_net_bytes_received_total",
+                                   "Wire bytes read from sockets");
+  messages_sent_ =
+      reg.GetCounter("apollo_net_messages_sent_total", "Wire frames sent");
+  messages_received_ = reg.GetCounter("apollo_net_messages_received_total",
+                                      "Wire frames received and dispatched");
+  connections_opened_ =
+      reg.GetCounter("apollo_net_connections_opened_total",
+                     "Connections accepted or established");
+  connections_closed_ = reg.GetCounter("apollo_net_connections_closed_total",
+                                       "Connections closed (any reason)");
+  conn_drops_ =
+      reg.GetCounter("apollo_net_conn_drops_total",
+                     "Connections dropped by injected kConnDrop faults");
+  send_failures_ =
+      reg.GetCounter("apollo_net_send_failures_total",
+                     "Frame sends failed (injected or socket error)");
+  recv_drops_ =
+      reg.GetCounter("apollo_net_recv_drops_total",
+                     "Received frames dropped by injected kNetRecv faults");
+  protocol_errors_ =
+      reg.GetCounter("apollo_net_protocol_errors_total",
+                     "Connections closed on bad magic/version/CRC");
+  backpressure_skips_ =
+      reg.GetCounter("apollo_net_backpressure_skips_total",
+                     "Subscription deliveries skipped: outbound queue full");
+  idle_closes_ = reg.GetCounter("apollo_net_idle_closes_total",
+                                "Connections reaped by the idle timeout");
+}
 
 Server::~Server() { Stop(); }
 
@@ -197,7 +227,7 @@ void Server::OnAcceptable() {
     }
     conns_.emplace(id, std::move(conn));
     conn_count_.store(conns_.size(), std::memory_order_release);
-    GlobalTelemetry().net_connections_opened.Inc();
+    connections_opened_.Inc();
   }
 }
 
@@ -221,7 +251,6 @@ void Server::OnConnEvent(std::uint64_t conn_id, std::uint32_t events) {
 
 void Server::ReadConn(Connection& conn) {
   TRACE_SPAN("net.recv", "server");
-  auto& telemetry = GlobalTelemetry();
   std::uint8_t buf[64 * 1024];
   while (!conn.closing_) {
     const ssize_t n = ::read(conn.fd_, buf, sizeof(buf));
@@ -236,9 +265,9 @@ void Server::ReadConn(Connection& conn) {
       return;
     }
     conn.last_activity_ = loop_.clock().Now();
-    telemetry.net_bytes_received.Inc(static_cast<std::uint64_t>(n));
+    bytes_received_.Inc(static_cast<std::uint64_t>(n));
     if (!conn.parser_.Feed(buf, static_cast<std::size_t>(n))) {
-      telemetry.net_protocol_errors.Inc();
+      protocol_errors_.Inc();
       conn.Close();
       return;
     }
@@ -247,7 +276,7 @@ void Server::ReadConn(Connection& conn) {
       const char* label = MsgTypeName(frame.type);
       if (auto action = EvaluateFault(FaultSite::kConnDrop, label)) {
         if (action->fails()) {
-          telemetry.net_conn_drops.Inc();
+          conn_drops_.Inc();
           conn.Close();
           return;
         }
@@ -255,12 +284,12 @@ void Server::ReadConn(Connection& conn) {
       }
       if (auto action = EvaluateFault(FaultSite::kNetRecv, label)) {
         if (action->fails()) {
-          telemetry.net_recv_drops.Inc();
+          recv_drops_.Inc();
           continue;  // frame lost in flight
         }
         loop_.clock().Charge(action->delay_ns);
       }
-      telemetry.net_messages_received.Inc();
+      messages_received_.Inc();
       TRACE_SPAN("net.dispatch", label);
       handler_.OnFrame(conn, frame);
     }
@@ -291,7 +320,7 @@ void Server::FlushConn(Connection& conn) {
       return;
     }
     conn.last_activity_ = loop_.clock().Now();
-    GlobalTelemetry().net_bytes_sent.Inc(static_cast<std::uint64_t>(n));
+    bytes_sent_.Inc(static_cast<std::uint64_t>(n));
     conn.out_bytes_ -= static_cast<std::size_t>(n);
     std::size_t sent = static_cast<std::size_t>(n);
     while (sent > 0) {
@@ -325,7 +354,7 @@ void Server::DestroyConn(std::uint64_t conn_id) {
   ::close(conn.fd_);
   conns_.erase(it);
   conn_count_.store(conns_.size(), std::memory_order_release);
-  GlobalTelemetry().net_connections_closed.Inc();
+  connections_closed_.Inc();
 }
 
 void Server::SweepIdle(TimeNs now) {
@@ -338,7 +367,7 @@ void Server::SweepIdle(TimeNs now) {
     if (now - conn->last_activity_ >= config_.idle_timeout) idle.push_back(id);
   }
   for (std::uint64_t id : idle) {
-    GlobalTelemetry().net_idle_closes.Inc();
+    idle_closes_.Inc();
     DestroyConn(id);
   }
 }

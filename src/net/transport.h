@@ -36,6 +36,7 @@
 #include "common/fault.h"
 #include "eventloop/event_loop.h"
 #include "net/frame.h"
+#include "obs/metrics.h"
 
 namespace apollo::net {
 
@@ -190,6 +191,21 @@ class Server {
   std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::atomic<std::size_t> conn_count_{0};
   std::atomic<FaultInjector*> fault_{nullptr};
+
+  // Wire counters for every connection of this server (ApolloClient counts
+  // its end under the same names), resolved at construction.
+  obs::Counter bytes_sent_;
+  obs::Counter bytes_received_;
+  obs::Counter messages_sent_;
+  obs::Counter messages_received_;
+  obs::Counter connections_opened_;
+  obs::Counter connections_closed_;
+  obs::Counter conn_drops_;
+  obs::Counter send_failures_;
+  obs::Counter recv_drops_;
+  obs::Counter protocol_errors_;
+  obs::Counter backpressure_skips_;
+  obs::Counter idle_closes_;
 };
 
 // --- shared socket helpers (also used by the client) ---

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 
 namespace apollo::obs {
 
@@ -92,6 +94,68 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+// Sample lines of one cell (no # HELP / # TYPE header).
+void AppendSamples(std::string& out, const internal::MetricCell& cell) {
+  switch (cell.kind) {
+    case MetricKind::kCounter: {
+      out += cell.name;
+      AppendLabels(out, cell.labels);
+      out += ' ';
+      out += std::to_string(cell.value.load(std::memory_order_relaxed));
+      out += '\n';
+      break;
+    }
+    case MetricKind::kGauge: {
+      out += cell.name;
+      AppendLabels(out, cell.labels);
+      out += ' ';
+      out += FormatDouble(
+          BitsDouble(cell.value.load(std::memory_order_relaxed)));
+      out += '\n';
+      break;
+    }
+    case MetricKind::kHistogram: {
+      std::uint64_t cumulative = 0;
+      std::size_t top = internal::MetricCell::kBuckets;
+      while (top > 0 && (*cell.buckets)[top - 1].load(
+                            std::memory_order_relaxed) == 0) {
+        --top;
+      }
+      for (std::size_t b = 0; b < top; ++b) {
+        cumulative += (*cell.buckets)[b].load(std::memory_order_relaxed);
+        out += cell.name;
+        out += "_bucket";
+        // Bucket b holds values in [2^b, 2^(b+1)); its inclusive upper
+        // bound is (2 << b) - 1 (bucket 0 holds v <= 1).
+        AppendLabels(out, cell.labels, "le",
+                     std::to_string((2ULL << b) - 1));
+        out += ' ';
+        out += std::to_string(cumulative);
+        out += '\n';
+      }
+      out += cell.name;
+      out += "_bucket";
+      AppendLabels(out, cell.labels, "le", "+Inf");
+      out += ' ';
+      out += std::to_string(cell.count.load(std::memory_order_relaxed));
+      out += '\n';
+      out += cell.name;
+      out += "_sum";
+      AppendLabels(out, cell.labels);
+      out += ' ';
+      out += std::to_string(cell.sum.load(std::memory_order_relaxed));
+      out += '\n';
+      out += cell.name;
+      out += "_count";
+      AppendLabels(out, cell.labels);
+      out += ' ';
+      out += std::to_string(cell.count.load(std::memory_order_relaxed));
+      out += '\n';
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -232,79 +296,29 @@ void MetricsRegistry::ResetAllForTest() {
 
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // Group cells by family, families in first-registration order. Label
+  // sets of one family are registered at different times (per-tenant
+  // counters, say), and the text format allows one # TYPE per family, so
+  // the exposition cannot follow raw registration order.
+  std::vector<std::vector<const internal::MetricCell*>> families;
+  std::unordered_map<std::string_view, std::size_t> family_index;
+  for (const internal::MetricCell& cell : cells_) {
+    auto [it, fresh] = family_index.try_emplace(cell.name, families.size());
+    if (fresh) families.emplace_back();
+    families[it->second].push_back(&cell);
+  }
   std::string out;
   out.reserve(cells_.size() * 96);
-  std::string last_family;
-  for (const internal::MetricCell& cell : cells_) {
-    // One HELP/TYPE header per family; instances of the same name are
-    // registered adjacently in practice (the registry preserves insertion
-    // order), so a simple "name changed" check suffices.
-    if (cell.name != last_family) {
-      last_family = cell.name;
-      if (!cell.help.empty()) {
-        out += "# HELP " + cell.name + " " + cell.help + "\n";
-      }
-      out += "# TYPE " + cell.name + " ";
-      out += MetricKindName(cell.kind);
-      out += '\n';
+  for (const auto& family : families) {
+    const internal::MetricCell& head = *family.front();
+    if (!head.help.empty()) {
+      out += "# HELP " + head.name + " " + head.help + "\n";
     }
-    switch (cell.kind) {
-      case MetricKind::kCounter: {
-        out += cell.name;
-        AppendLabels(out, cell.labels);
-        out += ' ';
-        out += std::to_string(cell.value.load(std::memory_order_relaxed));
-        out += '\n';
-        break;
-      }
-      case MetricKind::kGauge: {
-        out += cell.name;
-        AppendLabels(out, cell.labels);
-        out += ' ';
-        out += FormatDouble(
-            BitsDouble(cell.value.load(std::memory_order_relaxed)));
-        out += '\n';
-        break;
-      }
-      case MetricKind::kHistogram: {
-        std::uint64_t cumulative = 0;
-        std::size_t top = internal::MetricCell::kBuckets;
-        while (top > 0 && (*cell.buckets)[top - 1].load(
-                              std::memory_order_relaxed) == 0) {
-          --top;
-        }
-        for (std::size_t b = 0; b < top; ++b) {
-          cumulative += (*cell.buckets)[b].load(std::memory_order_relaxed);
-          out += cell.name;
-          out += "_bucket";
-          // Bucket b holds values in [2^b, 2^(b+1)); its inclusive upper
-          // bound is (2 << b) - 1 (bucket 0 holds v <= 1).
-          AppendLabels(out, cell.labels, "le",
-                       std::to_string((2ULL << b) - 1));
-          out += ' ';
-          out += std::to_string(cumulative);
-          out += '\n';
-        }
-        out += cell.name;
-        out += "_bucket";
-        AppendLabels(out, cell.labels, "le", "+Inf");
-        out += ' ';
-        out += std::to_string(cell.count.load(std::memory_order_relaxed));
-        out += '\n';
-        out += cell.name;
-        out += "_sum";
-        AppendLabels(out, cell.labels);
-        out += ' ';
-        out += std::to_string(cell.sum.load(std::memory_order_relaxed));
-        out += '\n';
-        out += cell.name;
-        out += "_count";
-        AppendLabels(out, cell.labels);
-        out += ' ';
-        out += std::to_string(cell.count.load(std::memory_order_relaxed));
-        out += '\n';
-        break;
-      }
+    out += "# TYPE " + head.name + " ";
+    out += MetricKindName(head.kind);
+    out += '\n';
+    for (const internal::MetricCell* instance : family) {
+      AppendSamples(out, *instance);
     }
   }
   return out;

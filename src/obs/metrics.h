@@ -1,17 +1,18 @@
 // Process-wide metrics registry: named + labeled counters, gauges, and
 // log-bucketed histograms, with Prometheus-style text exposition.
 //
-// Hot-path contract: a call site resolves its metric ONCE (at deploy/plan
-// time, or in a function-local static) into a Counter/Gauge/Histogram
-// handle — a bare pointer into registry-owned storage, the same caching
-// idiom TopicHandle uses for broker lookups. Every subsequent update is a
-// relaxed atomic on that cell: no locks, no map lookups, no allocation.
-// The registry mutex is taken only at registration and exposition time.
+// Hot-path contract: the component that bumps a metric resolves it ONCE
+// (in its constructor, or in a function-local static for free functions)
+// into a Counter/Gauge/Histogram handle — a bare pointer into
+// registry-owned storage, the same caching idiom TopicHandle uses for
+// broker lookups. Every subsequent update is a relaxed atomic on that
+// cell: no locks, no map lookups, no allocation. Registration is a locked
+// linear scan, so it never belongs on a per-sample or per-request path.
 //
 // Cells live in a std::deque so registration never invalidates handles;
 // registering the same (name, labels) pair twice returns the same cell,
-// so independent call sites (and the TelemetryCounters façade) can share
-// a metric without coordinating.
+// so two components that bump one metric (both ends of a connection, say)
+// each register it by name without coordinating.
 #pragma once
 
 #include <array>
@@ -75,25 +76,6 @@ class Counter {
   }
   std::uint64_t Value() const {
     return cell_ == nullptr ? 0 : cell_->value.load(std::memory_order_relaxed);
-  }
-
-  // std::atomic-compatible surface so call sites written against the old
-  // TelemetryCounters atomics keep compiling unchanged.
-  std::uint64_t fetch_add(std::uint64_t n,
-                          std::memory_order = std::memory_order_relaxed) {
-    if (cell_ == nullptr) return 0;
-    return cell_->value.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t load(std::memory_order = std::memory_order_relaxed) const {
-    return Value();
-  }
-  void store(std::uint64_t v,
-             std::memory_order = std::memory_order_relaxed) {
-    if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
-  }
-  Counter& operator=(std::uint64_t v) {
-    store(v);
-    return *this;
   }
 
   bool bound() const { return cell_ != nullptr; }
@@ -160,7 +142,9 @@ class MetricsRegistry {
                          const Labels& labels = {});
 
   // Prometheus text exposition format: one # HELP / # TYPE block per
-  // family, histograms as cumulative _bucket{le=...} plus _sum/_count.
+  // family followed by all of that family's instances (whatever order
+  // their label sets were registered in), families in first-registration
+  // order; histograms as cumulative _bucket{le=...} plus _sum/_count.
   std::string RenderPrometheus() const;
 
   std::size_t MetricCount() const;

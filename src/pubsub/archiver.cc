@@ -56,6 +56,30 @@ ArchiveLog::ArchiveLog(std::string base_path, std::uint32_t payload_size,
     : base_path_(std::move(base_path)),
       payload_size_(payload_size),
       config_(config) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  write_errors_ = reg.GetCounter(
+      "apollo_archive_write_errors_total",
+      "Archive write/flush/fsync errors before retry");
+  fsyncs_total_ = reg.GetCounter("apollo_archive_fsyncs_total",
+                                 "Archive segment fsyncs issued");
+  fsync_failures_ = reg.GetCounter("apollo_archive_fsync_failures_total",
+                                   "Archive segment fsync failures");
+  rotations_total_ = reg.GetCounter("apollo_archive_rotations_total",
+                                    "Archive segment rotations");
+  recovered_records_ =
+      reg.GetCounter("apollo_archive_recovered_records_total",
+                     "Valid records recovered by startup WAL scans");
+  truncated_bytes_ =
+      reg.GetCounter("apollo_archive_truncated_bytes_total",
+                     "Torn/corrupt tail bytes truncated at startup");
+  corrupt_segments_ =
+      reg.GetCounter("apollo_archive_corrupt_segments_total",
+                     "Segments with any truncation or quarantine");
+  quarantined_segments_ =
+      reg.GetCounter("apollo_archive_quarantined_segments_total",
+                     "Segments renamed *.corrupt on open");
+  fsync_ns_ = reg.GetHistogram("apollo_archive_fsync_duration_ns",
+                               "Archive segment fsync latency");
   if (config_.segment_bytes <
       wal::kHeaderSize + wal::kFrameOverhead + payload_size_) {
     // A segment must hold at least one record.
@@ -121,7 +145,6 @@ Status ArchiveLog::Open() {
   // Recover each segment: keep the valid prefix, truncate torn/corrupt
   // tails in place, quarantine segments whose header does not parse. The
   // same pass rebuilds each segment's timestamp bounds.
-  TelemetryCounters& telemetry = GlobalTelemetry();
   std::vector<std::uint8_t> buf;
   for (const auto& [seq, path] : found) {
     ++recovery_.segments_scanned;
@@ -139,12 +162,9 @@ Status ArchiveLog::Open() {
       ++recovery_.corrupt_segments;
       ++recovery_.quarantined_segments;
       recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_quarantined_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_truncated_bytes.fetch_add(
-          scan.dropped_bytes, std::memory_order_relaxed);
+      corrupt_segments_.Inc();
+      quarantined_segments_.Inc();
+      truncated_bytes_.Inc(scan.dropped_bytes);
       continue;
     }
     if (scan.dropped_bytes > 0) {
@@ -153,14 +173,11 @@ Status ArchiveLog::Open() {
       if (resize_ec) return IoError("archive truncate failed", path);
       ++recovery_.corrupt_segments;
       recovery_.bytes_truncated += scan.dropped_bytes;
-      telemetry.archive_corrupt_segments.fetch_add(
-          1, std::memory_order_relaxed);
-      telemetry.archive_truncated_bytes.fetch_add(
-          scan.dropped_bytes, std::memory_order_relaxed);
+      corrupt_segments_.Inc();
+      truncated_bytes_.Inc(scan.dropped_bytes);
     }
     recovery_.records_recovered += scan.records;
-    telemetry.archive_recovered_records.fetch_add(
-        scan.records, std::memory_order_relaxed);
+    recovered_records_.Inc(scan.records);
     seg.records = scan.records;
     seg.bytes = scan.valid_bytes;
     segments_.push_back(std::move(seg));
@@ -187,8 +204,7 @@ Status ArchiveLog::OpenActive(bool fresh) {
     wal::EncodeHeader(header, payload_size_);
     if (std::fwrite(header, sizeof(header), 1, active_) != 1 ||
         std::fflush(active_) != 0) {
-      GlobalTelemetry().archive_write_errors.fetch_add(
-          1, std::memory_order_relaxed);
+      write_errors_.Inc();
       std::fclose(active_);
       active_ = nullptr;
       return IoError("archive header write failed", seg.path);
@@ -214,8 +230,7 @@ Status ArchiveLog::RotateLocked() {
     return reopen.ok() ? status : reopen;
   }
   ++rotations_;
-  GlobalTelemetry().archive_rotations.fetch_add(1,
-                                                std::memory_order_relaxed);
+  rotations_total_.Inc();
   return ApplyRetentionLocked();
 }
 
@@ -243,25 +258,20 @@ Status ArchiveLog::SyncLocked() {
     const std::string_view label = label_.empty() ? base_path_ : label_;
     if (auto action = fault_->Evaluate(FaultSite::kArchiveFsync, label);
         action.has_value() && action->fails()) {
-      GlobalTelemetry().archive_fsync_failures.fetch_add(
-          1, std::memory_order_relaxed);
+      fsync_failures_.Inc();
       return Status(ErrorCode::kIoError,
                     "injected archive fsync failure: " + base_path_);
     }
   }
-  static obs::Histogram fsync_hist = obs::MetricsRegistry::Global().GetHistogram(
-      "apollo_archive_fsync_duration_ns", "Archive segment fsync latency");
   const TimeNs fsync_start = RealClock::Instance().Now();
   if (std::fflush(active_) != 0 || ::fsync(::fileno(active_)) != 0) {
-    GlobalTelemetry().archive_fsync_failures.fetch_add(
-        1, std::memory_order_relaxed);
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    fsync_failures_.Inc();
+    write_errors_.Inc();
     return IoError("archive fsync failed", segments_.back().path);
   }
-  fsync_hist.Record(RealClock::Instance().Now() - fsync_start);
+  fsync_ns_.Record(RealClock::Instance().Now() - fsync_start);
   ++fsyncs_;
-  GlobalTelemetry().archive_fsyncs.fetch_add(1, std::memory_order_relaxed);
+  fsyncs_total_.Inc();
   appends_since_sync_ = 0;
   last_sync_ = RealClock::Instance().Now();
   return Status::Ok();
@@ -295,8 +305,7 @@ Status ArchiveLog::Append(const void* payload) {
     // fflush per record pushes the frame into the OS so only a real
     // machine failure (not process death) can lose an acknowledged
     // append; the fsync policy below controls power-loss durability.
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    write_errors_.Inc();
     RollbackActive(offset);
     return IoError("archive write failed", seg->path);
   }
@@ -368,8 +377,7 @@ Status ArchiveLog::ScanSegments(
     const std::function<void(const void*)>& fn, WalScanStats* stats) {
   if (active_ != nullptr && want(segments_.size() - 1) &&
       std::fflush(active_) != 0) {
-    GlobalTelemetry().archive_write_errors.fetch_add(
-        1, std::memory_order_relaxed);
+    write_errors_.Inc();
     return IoError("archive flush failed", segments_.back().path);
   }
   std::vector<std::uint8_t> buf;

@@ -21,9 +21,9 @@
 //
 // Failed writes are never silent: Append surfaces a Status, AppendWithRetry
 // adds bounded exponential backoff, and every outcome is counted both here
-// and in the global TelemetryCounters. An attached FaultInjector can force
-// write failures (site kArchiveWrite) and fsync failures (kArchiveFsync)
-// for chaos and kill-and-restart tests.
+// and in the apollo_archive_* registry counters. An attached FaultInjector
+// can force write failures (site kArchiveWrite) and fsync failures
+// (kArchiveFsync) for chaos and kill-and-restart tests.
 //
 // Record payload layout (binary, little-endian, fixed size):
 //   u64 id | i64 timestamp | T payload (trivially copyable)
@@ -47,6 +47,7 @@
 #include "common/clock.h"
 #include "common/expected.h"
 #include "common/fault.h"
+#include "obs/metrics.h"
 #include "pubsub/cold_reader.h"
 #include "pubsub/telemetry.h"
 #include "pubsub/wal_format.h"
@@ -226,6 +227,17 @@ class ArchiveLog {
   std::uint64_t fsyncs_ = 0;
   ArchiveRecoveryStats recovery_;
   std::vector<std::uint8_t> frame_;  // scratch encode buffer
+
+  // Process-wide apollo_archive_* counters, resolved at construction.
+  obs::Counter write_errors_;
+  obs::Counter fsyncs_total_;
+  obs::Counter fsync_failures_;
+  obs::Counter rotations_total_;
+  obs::Counter recovered_records_;
+  obs::Counter truncated_bytes_;
+  obs::Counter corrupt_segments_;
+  obs::Counter quarantined_segments_;
+  obs::Histogram fsync_ns_;
 };
 
 template <typename T>
@@ -249,6 +261,16 @@ class Archiver {
   // OpenStatus()).
   explicit Archiver(std::string path = "", WalConfig config = {})
       : path_(std::move(path)) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    writes_ = reg.GetCounter("apollo_archive_writes_total",
+                             "Archive records appended");
+    retries_ = reg.GetCounter("apollo_archive_retries_total",
+                              "Archive append backoff retries");
+    write_failures_ = reg.GetCounter("apollo_archive_write_failures_total",
+                                     "Archive appends failed after retries");
+    write_errors_ = reg.GetCounter(
+        "apollo_archive_write_errors_total",
+        "Archive write/flush/fsync errors before retry");
     if (!path_.empty()) {
       auto log = std::make_unique<ArchiveLog>(
           path_, static_cast<std::uint32_t>(sizeof(Record)), config);
@@ -293,8 +315,7 @@ class Archiver {
     int attempt = 0;
     while (!status.ok() && RetryableError(status.code()) &&
            ++attempt < retry_.max_attempts) {
-      GlobalTelemetry().archive_retries.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      retries_.Inc();
       std::this_thread::sleep_for(std::chrono::nanoseconds(
           JitteredBackoffForAttempt(retry_, attempt)));
       status = AppendLocked(id, timestamp, payload);
@@ -442,8 +463,7 @@ class Archiver {
       const std::string_view label = label_.empty() ? path_ : label_;
       if (auto action = injector->Evaluate(FaultSite::kArchiveWrite, label);
           action.has_value() && action->fails()) {
-        GlobalTelemetry().archive_write_errors.fetch_add(
-            1, std::memory_order_relaxed);
+        write_errors_.Inc();
         return Status(ErrorCode::kIoError,
                       "injected archive write failure: " + path_);
       }
@@ -458,13 +478,12 @@ class Archiver {
       rec.payload = payload;
       Status status = log_->Append(&rec);
       if (!status.ok()) return status;
-      GlobalTelemetry().archive_writes.fetch_add(1,
-                                                 std::memory_order_relaxed);
+      writes_.Inc();
       return Status::Ok();
     }
     memory_.push_back(Record{id, timestamp, payload});
     ++count_;
-    GlobalTelemetry().archive_writes.fetch_add(1, std::memory_order_relaxed);
+    writes_.Inc();
     return Status::Ok();
   }
 
@@ -472,8 +491,7 @@ class Archiver {
   void RecordFailure(const Status& status) {
     failures_.fetch_add(1, std::memory_order_acq_rel);
     last_error_ = status;
-    GlobalTelemetry().archive_write_failures.fetch_add(
-        1, std::memory_order_relaxed);
+    write_failures_.Inc();
   }
 
   std::string path_;
@@ -488,6 +506,12 @@ class Archiver {
   std::atomic<std::uint64_t> failures_{0};
   Status last_error_;
   mutable std::mutex mu_;
+  // Process-wide apollo_archive_* counters, resolved at construction
+  // (write errors are shared with ArchiveLog by name).
+  obs::Counter writes_;
+  obs::Counter retries_;
+  obs::Counter write_failures_;
+  obs::Counter write_errors_;
 };
 
 }  // namespace apollo

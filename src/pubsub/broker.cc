@@ -6,6 +6,25 @@
 
 namespace apollo {
 
+Broker::Broker(Clock& clock, std::shared_ptr<const NetworkModel> network)
+    : clock_(clock), network_(std::move(network)) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  publishes_ =
+      reg.GetCounter("apollo_publishes_total", "Broker publishes attempted");
+  publish_drops_ = reg.GetCounter("apollo_publish_drops_total",
+                                  "Publishes dropped by injected faults");
+  publish_retries_ = reg.GetCounter("apollo_publish_retries_total",
+                                    "Publish backoff retries");
+  publish_failures_ = reg.GetCounter("apollo_publish_failures_total",
+                                     "Publishes failed after retries");
+  fetch_timeouts_ = reg.GetCounter("apollo_fetch_timeouts_total",
+                                   "Fetches timed out by injected faults");
+  fetch_retries_ =
+      reg.GetCounter("apollo_fetch_retries_total", "Fetch backoff retries");
+  fetch_failures_ = reg.GetCounter("apollo_fetch_failures_total",
+                                   "Fetches failed after retries");
+}
+
 Expected<TelemetryStream*> Broker::CreateTopic(const std::string& name,
                                                NodeId home_node,
                                                std::size_t capacity,
@@ -137,10 +156,10 @@ Expected<std::uint64_t> Broker::Publish(TopicHandle& handle, NodeId from_node,
   TRACE_SPAN("broker.publish", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(1, std::memory_order_relaxed);
+  publishes_.Inc();
   status = EvaluateFault(FaultSite::kPublish, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().publish_drops.fetch_add(1, std::memory_order_relaxed);
+    publish_drops_.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(from_node, handle.home_);
@@ -156,7 +175,7 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
   TRACE_SPAN("broker.publish_batch", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(n, std::memory_order_relaxed);
+  publishes_.Inc(n);
   ChargeLatency(from_node, handle.home_);
   BatchPublishResult result;
   if (n == 0) return result;
@@ -177,7 +196,7 @@ Expected<Broker::BatchPublishResult> Broker::PublishBatch(
       accepted.push_back(entries[i]);
       continue;
     }
-    GlobalTelemetry().publish_drops.fetch_add(1, std::memory_order_relaxed);
+    publish_drops_.Inc();
     if (result.first_error.empty()) {
       result.first_error_code = verdict.code();
       result.first_error = verdict.message();
@@ -202,7 +221,7 @@ Expected<std::uint64_t> Broker::AppendReplicated(
   TRACE_SPAN("broker.append_replicated", handle.name_);
   Status status = Refresh(handle);
   if (!status.ok()) return Error(status.code(), status.message());
-  publishes_.fetch_add(n, std::memory_order_relaxed);
+  publishes_.Inc(n);
   if (n == 0) return handle.stream_->NextId();
   auto last = handle.stream_->AppendBatch(entries, n);
   NotifyPublish(handle.name_, n);
@@ -217,7 +236,7 @@ Expected<std::vector<TelemetryStream::Entry>> Broker::Fetch(
   if (!status.ok()) return Error(status.code(), status.message());
   status = EvaluateFault(FaultSite::kFetch, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
+    fetch_timeouts_.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(handle.home_, to_node);
@@ -232,7 +251,7 @@ Expected<std::size_t> Broker::FetchInto(
   if (!status.ok()) return Error(status.code(), status.message());
   status = EvaluateFault(FaultSite::kFetch, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
+    fetch_timeouts_.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(handle.home_, to_node);
@@ -245,7 +264,7 @@ Expected<Sample> Broker::LatestValue(TopicHandle& handle, NodeId to_node) {
   if (!status.ok()) return Error(status.code(), status.message());
   status = EvaluateFault(FaultSite::kFetch, handle.name_);
   if (!status.ok()) {
-    GlobalTelemetry().fetch_timeouts.fetch_add(1, std::memory_order_relaxed);
+    fetch_timeouts_.Inc();
     return Error(status.code(), status.message());
   }
   ChargeLatency(handle.home_, to_node);
@@ -267,13 +286,12 @@ Expected<std::uint64_t> Broker::PublishWithRetry(TopicHandle& handle,
   while (!result.ok() && RetryableError(result.error().code()) &&
          ++attempt < policy.max_attempts) {
     if (policy.deadline > 0 && clock_.Now() - start >= policy.deadline) break;
-    GlobalTelemetry().publish_retries.fetch_add(1, std::memory_order_relaxed);
+    publish_retries_.Inc();
     clock_.Charge(JitteredBackoffForAttempt(policy, attempt));
     result = Publish(handle, from_node, timestamp, sample);
   }
   if (!result.ok()) {
-    GlobalTelemetry().publish_failures.fetch_add(1,
-                                                 std::memory_order_relaxed);
+    publish_failures_.Inc();
   }
   return result;
 }
@@ -288,12 +306,12 @@ Expected<std::size_t> Broker::FetchIntoWithRetry(
   while (!result.ok() && RetryableError(result.error().code()) &&
          ++attempt < policy.max_attempts) {
     if (policy.deadline > 0 && clock_.Now() - start >= policy.deadline) break;
-    GlobalTelemetry().fetch_retries.fetch_add(1, std::memory_order_relaxed);
+    fetch_retries_.Inc();
     clock_.Charge(JitteredBackoffForAttempt(policy, attempt));
     result = FetchInto(handle, to_node, cursor, out, max_entries);
   }
   if (!result.ok()) {
-    GlobalTelemetry().fetch_failures.fetch_add(1, std::memory_order_relaxed);
+    fetch_failures_.Inc();
   }
   return result;
 }

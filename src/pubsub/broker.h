@@ -26,6 +26,7 @@
 #include "common/clock.h"
 #include "common/expected.h"
 #include "common/fault.h"
+#include "obs/metrics.h"
 #include "pubsub/stream.h"
 
 namespace apollo {
@@ -110,10 +111,7 @@ class Broker {
   // `clock` is used to charge simulated network latency (SleepFor). A null
   // network model makes every hop free.
   explicit Broker(Clock& clock,
-                  std::shared_ptr<const NetworkModel> network = nullptr)
-      : clock_(clock),
-        network_(std::move(network)),
-        publishes_(GlobalTelemetry().publishes) {}
+                  std::shared_ptr<const NetworkModel> network = nullptr);
 
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
@@ -250,8 +248,8 @@ class Broker {
   // (injected drops/timeouts, kUnavailable) retry up to the policy's
   // attempt budget, charging backoff to the clock so simulated runs account
   // for it; a policy deadline bounds the total time spent. The final
-  // failure is surfaced (and counted in GlobalTelemetry()) instead of
-  // silently losing the tuple.
+  // failure is surfaced (and counted in apollo_publish_failures_total /
+  // apollo_fetch_failures_total) instead of silently losing the tuple.
   Expected<std::uint64_t> PublishWithRetry(TopicHandle& handle,
                                            NodeId from_node, TimeNs timestamp,
                                            const Sample& sample,
@@ -306,11 +304,15 @@ class Broker {
 
   Clock& clock_;
   std::shared_ptr<const NetworkModel> network_;
-  // Publish-path counter handle, resolved once at construction. Bumping a
-  // copied handle skips GlobalTelemetry()'s function-local-static guard on
-  // every publish (it shares the same registry cell, so the facade and
-  // Prometheus exposition see every increment).
+  // Publish/fetch counters, resolved once at construction: a bump is one
+  // relaxed add on the registry cell.
   obs::Counter publishes_;
+  obs::Counter publish_drops_;
+  obs::Counter publish_retries_;
+  obs::Counter publish_failures_;
+  obs::Counter fetch_timeouts_;
+  obs::Counter fetch_retries_;
+  obs::Counter fetch_failures_;
   // Notifies the attached publish observer (if any) that `n` entries
   // landed in `topic`. One relaxed load when nothing is attached.
   void NotifyPublish(const std::string& topic, std::size_t n);

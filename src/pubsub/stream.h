@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pubsub/archiver.h"
 #include "pubsub/telemetry.h"
@@ -76,7 +77,11 @@ class Stream {
   // receives evicted entries.
   explicit Stream(std::size_t capacity = 4096,
                   Archiver<T>* archiver = nullptr)
-      : capacity_(capacity == 0 ? 1 : capacity), archiver_(archiver) {
+      : capacity_(capacity == 0 ? 1 : capacity),
+        archiver_(archiver),
+        evictions_(obs::MetricsRegistry::Global().GetCounter(
+            "apollo_stream_evictions_total",
+            "Window entries evicted to an archiver")) {
     ring_.resize(std::min<std::size_t>(RoundUpPow2(capacity_), 64));
     mask_ = ring_.size() - 1;
   }
@@ -300,7 +305,7 @@ class Stream {
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
 
   // Archive appends that stayed failed after retries (also visible on the
-  // archiver itself and in GlobalTelemetry()).
+  // archiver itself and in apollo_archive_write_failures_total).
   std::uint64_t ArchiveFailures() const {
     return archive_failures_.load(std::memory_order_acquire);
   }
@@ -476,8 +481,7 @@ class Stream {
     }
     if (batch.empty()) return Status::Ok();
     TRACE_SPAN("stream.flush_evictions");
-    GlobalTelemetry().stream_evictions.fetch_add(batch.size(),
-                                                 std::memory_order_relaxed);
+    evictions_.Inc(batch.size());
     Status result = Status::Ok();
     for (const Entry& entry : batch) {
       Status status =
@@ -495,6 +499,7 @@ class Stream {
 
   const std::size_t capacity_;
   Archiver<T>* archiver_;
+  obs::Counter evictions_;
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> archive_failures_{0};
   mutable std::mutex mu_;

@@ -1,5 +1,4 @@
-// Telemetry record types flowing through Apollo's pub-sub fabric, plus the
-// fabric's own health counters.
+// Telemetry record types flowing through Apollo's pub-sub fabric.
 //
 // The paper stores Information as a tuple (timestamp, fact/insight value,
 // predicted|measured). Sample is that tuple; it is trivially copyable so the
@@ -7,13 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "common/clock.h"
-#include "obs/metrics.h"
 
 namespace apollo {
 
@@ -33,128 +28,5 @@ struct Sample {
 };
 
 static_assert(std::is_trivially_copyable_v<Sample>);
-
-// Fabric self-telemetry: how the monitoring plane itself is doing. A thin
-// façade over the process-wide obs::MetricsRegistry — every field is a
-// handle to a named counter in the registry, so the same numbers appear in
-// the Prometheus exposition (ApolloService::DumpMetrics) that the code and
-// tests read here. Bumps are relaxed atomics, safe from producers, the
-// event loop, and query threads concurrently.
-//
-// A failed persist or a dropped publish used to vanish silently; these
-// counters make every loss surface observable (and testable under chaos).
-//
-// Each field registers itself through Reg() in the constructor, which also
-// records it in fields_ — Reset() and the snapshot-completeness test walk
-// that list, so a new counter cannot be added without being reset (and a
-// handle member cannot exist without being registered: it has no default
-// constructor path here).
-struct TelemetryCounters {
-  TelemetryCounters();
-
-  // Broker publish path.
-  obs::Counter publishes;
-  obs::Counter publish_drops;     // injected drops
-  obs::Counter publish_retries;   // backoff retries
-  obs::Counter publish_failures;  // retries exhausted
-
-  // Broker fetch path.
-  obs::Counter fetch_timeouts;  // injected timeouts
-  obs::Counter fetch_retries;
-  obs::Counter fetch_failures;
-
-  // Archiver path.
-  obs::Counter archive_writes;
-  obs::Counter archive_retries;
-  obs::Counter archive_write_failures;  // retries exhausted
-  // Every failed fwrite/fflush/fsync attempt (before any retry), so a
-  // struggling disk is visible even while retries are still absorbing it.
-  obs::Counter archive_write_errors;
-  obs::Counter archive_fsyncs;
-  obs::Counter archive_fsync_failures;
-  obs::Counter archive_rotations;
-  obs::Counter archive_read_errors;  // query-path scans
-
-  // WAL recovery (startup scans of existing segments).
-  obs::Counter archive_recovered_records;
-  obs::Counter archive_truncated_bytes;
-  obs::Counter archive_corrupt_segments;
-  obs::Counter archive_quarantined_segments;
-
-  // Supervision (SCoRe vertex lifecycle).
-  obs::Counter vertex_crashes;
-  obs::Counter vertex_stalls;
-  obs::Counter vertex_restarts;
-  obs::Counter vertex_give_ups;
-  obs::Counter degraded_marked;
-  obs::Counter degraded_cleared;
-
-  // Stream eviction -> archive handoff.
-  obs::Counter stream_evictions;
-
-  // Network fabric (src/net): wire traffic and loss surfaces. Byte counters
-  // cover framed payload + header bytes actually written/read on sockets.
-  obs::Counter net_bytes_sent;
-  obs::Counter net_bytes_received;
-  obs::Counter net_messages_sent;
-  obs::Counter net_messages_received;
-  obs::Counter net_connections_opened;
-  obs::Counter net_connections_closed;
-  obs::Counter net_conn_drops;        // injected kConnDrop closes
-  obs::Counter net_send_failures;     // injected kNetSend + socket errors
-  obs::Counter net_recv_drops;        // injected kNetRecv frame drops
-  obs::Counter net_protocol_errors;   // bad magic/version/CRC on a conn
-  obs::Counter net_backpressure_skips;  // deliveries skipped: outbuf full
-  obs::Counter net_idle_closes;       // connections reaped by idle timeout
-  obs::Counter net_node_timeouts;     // scatter-gather nodes past deadline
-  obs::Counter net_degraded_fallbacks;  // node answers served from cache
-
-  // Batched ingest fast path (wire batch publishes + shm lane).
-  obs::Counter net_batch_publishes;   // kPublishBatch frames handled
-  obs::Counter net_batch_samples;     // samples carried in those frames
-  obs::Counter net_batch_decode_errors;  // malformed/injected batch rejects
-  obs::Counter net_batch_sample_errors;  // per-sample failures (ack bitmap)
-  obs::Counter net_shm_attaches;      // shm lanes accepted by a daemon
-  obs::Counter net_shm_attach_failures;  // refused/failed handshakes
-  obs::Counter net_shm_samples;       // samples drained from shm rings
-  obs::Counter net_shm_fallbacks;     // samples rerouted to TCP (ring full
-                                      // or lane unavailable)
-  obs::Counter net_shm_orphans_reaped;  // orphaned lane segments unlinked
-                                        // after their producer died
-
-  // Cluster layer (placement, membership, replication, resync).
-  obs::Counter cluster_heartbeats_sent;
-  obs::Counter cluster_heartbeat_failures;  // probe round-trips that failed
-  obs::Counter cluster_peer_suspects;       // alive -> suspect transitions
-  obs::Counter cluster_peer_deaths;         // -> dead transitions
-  obs::Counter cluster_peer_recoveries;     // dead peer seen again
-  obs::Counter cluster_map_pushes;          // kClusterMap pushes to clients
-  obs::Counter cluster_forwarded_publishes;  // runs proxied to the primary
-  obs::Counter cluster_replication_batches;  // kReplicate round-trips sent
-  obs::Counter cluster_replication_failures;  // failed/refused replicates
-  obs::Counter cluster_quorum_failures;     // publishes NACKed: quorum unmet
-  obs::Counter cluster_resync_topics;       // topics caught up from a peer
-  obs::Counter cluster_resync_entries;      // entries copied during resync
-
-  // Zeroes every registered counter (walks fields_, so it cannot go stale
-  // when a counter is added).
-  void Reset();
-
-  // (field name, handle) for every counter this façade registered, in
-  // declaration order. The snapshot-completeness test iterates this to
-  // prove Reset() covers the whole struct.
-  const std::vector<std::pair<std::string, obs::Counter>>& fields() const {
-    return fields_;
-  }
-
- private:
-  obs::Counter Reg(const char* field, const char* metric, const char* help);
-
-  std::vector<std::pair<std::string, obs::Counter>> fields_;
-};
-
-// Process-wide counters. Tests Reset() them at setup; concurrent bumps are
-// exact (atomics), reads are racy-by-design snapshots.
-TelemetryCounters& GlobalTelemetry();
 
 }  // namespace apollo

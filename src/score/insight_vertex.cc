@@ -66,6 +66,13 @@ InsightVertex::InsightVertex(Broker& broker, InsightFn fn,
       config_(std::move(config)),
       archiver_(archiver),
       latest_(config_.upstream.size(), kNan) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  crashes_total_ = reg.GetCounter("apollo_vertex_crashes_total",
+                                  "SCoRe vertex crashes observed");
+  degraded_marked_ = reg.GetCounter("apollo_degraded_marked_total",
+                                    "Streams marked degraded");
+  degraded_cleared_ = reg.GetCounter("apollo_degraded_cleared_total",
+                                     "Streams cleared from degraded");
   if (delphi != nullptr && config_.prediction_granularity > 0) {
     predictor_ = std::make_unique<delphi::StreamingPredictor>(*delphi);
   }
@@ -129,9 +136,9 @@ TimeNs InsightVertex::ExpectedFireInterval() const {
 void InsightVertex::MarkCrashed() {
   crashed_.store(true, std::memory_order_release);
   ++stats_.crashes;
-  GlobalTelemetry().vertex_crashes.fetch_add(1, std::memory_order_relaxed);
+  crashes_total_.Inc();
   if (handle_.valid() && !handle_.stream()->SetDegraded(true)) {
-    GlobalTelemetry().degraded_marked.fetch_add(1, std::memory_order_relaxed);
+    degraded_marked_.Inc();
   }
 }
 
@@ -262,8 +269,7 @@ void InsightVertex::PublishSample(TimeNs now, double value,
   if (provenance == Provenance::kMeasured && handle_.valid() &&
       handle_.stream()->degraded() && !crashed()) {
     if (handle_.stream()->SetDegraded(false)) {
-      GlobalTelemetry().degraded_cleared.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      degraded_cleared_.Inc();
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "common/fault.h"
 #include "delphi/predictor.h"
 #include "eventloop/event_loop.h"
+#include "obs/metrics.h"
 #include "pubsub/broker.h"
 #include "score/vertex_stats.h"
 
@@ -113,6 +114,11 @@ class InsightVertex {
   std::vector<double> latest_;
   std::optional<double> last_published_;
   VertexStats stats_;
+  // Process-wide crash/degraded counters (shared by name with the other
+  // vertex kind), resolved at construction.
+  obs::Counter crashes_total_;
+  obs::Counter degraded_marked_;
+  obs::Counter degraded_cleared_;
 };
 
 }  // namespace apollo

@@ -6,13 +6,21 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo {
 
 VertexSupervisor::VertexSupervisor(ScoreGraph& graph,
                                    SupervisorOptions options)
-    : graph_(graph), options_(options) {}
+    : graph_(graph), options_(options) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  stalls_total_ = reg.GetCounter("apollo_vertex_stalls_total",
+                                 "Silent vertex stalls converted to crashes");
+  restarts_total_ = reg.GetCounter("apollo_vertex_restarts_total",
+                                   "Supervisor restarts issued");
+  give_ups_total_ =
+      reg.GetCounter("apollo_vertex_give_ups_total",
+                     "Vertices given up on after max restarts");
+}
 
 VertexSupervisor::~VertexSupervisor() { Stop(); }
 
@@ -52,7 +60,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
                      vertex.ExpectedFireInterval());
     if (now - vertex.last_fire() > threshold) {
       stalls_detected_.fetch_add(1, std::memory_order_relaxed);
-      GlobalTelemetry().vertex_stalls.fetch_add(1, std::memory_order_relaxed);
+      stalls_total_.Inc();
       APOLLO_LOG(WARN) << "supervisor: vertex " << vertex.topic()
                        << " stalled (no firing for " << (now - vertex.last_fire())
                        << " ns), forcing crash";
@@ -78,7 +86,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
   if (entry.restarts >= options_.max_restarts) {
     entry.gave_up = true;
     give_ups_.fetch_add(1, std::memory_order_relaxed);
-    GlobalTelemetry().vertex_give_ups.fetch_add(1, std::memory_order_relaxed);
+    give_ups_total_.Inc();
     APOLLO_LOG(ERROR) << "supervisor: giving up on vertex " << vertex.topic()
                       << " after " << entry.restarts << " restarts";
     return;
@@ -112,7 +120,7 @@ void VertexSupervisor::SuperviseLocked(V& vertex, TimeNs now) {
       options_.max_restart_backoff);
   entry.was_crashed = false;
   restarts_issued_.fetch_add(1, std::memory_order_relaxed);
-  GlobalTelemetry().vertex_restarts.fetch_add(1, std::memory_order_relaxed);
+  restarts_total_.Inc();
   APOLLO_LOG(WARN) << "supervisor: restarted vertex " << vertex.topic()
                    << " (restart #" << entry.restarts << ")";
 }

@@ -25,6 +25,7 @@
 
 #include "common/clock.h"
 #include "eventloop/event_loop.h"
+#include "obs/metrics.h"
 #include "score/monitor_hook.h"
 #include "score/score_graph.h"
 
@@ -140,6 +141,10 @@ class VertexSupervisor {
   std::atomic<std::uint64_t> stalls_detected_{0};
   std::atomic<std::uint64_t> restarts_issued_{0};
   std::atomic<std::uint64_t> give_ups_{0};
+  // Process-wide apollo_vertex_* counters, resolved at construction.
+  obs::Counter stalls_total_;
+  obs::Counter restarts_total_;
+  obs::Counter give_ups_total_;
 };
 
 // Monitor hook reporting the supervisor's available-node count — the

@@ -15,7 +15,7 @@
 
 #include "apollo/apollo_service.h"
 #include "common/fault.h"
-#include "pubsub/telemetry.h"
+#include "metric_value.h"
 #include "score/supervisor.h"
 
 namespace apollo {
@@ -72,7 +72,7 @@ void ExpectNoDoubleCounting(ApolloService& service,
 }
 
 TEST(ChaosTest, CrashedVertexDegradesAndSupervisorRecovers) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   ApolloService service(SimOptions());
   ASSERT_TRUE(
       service.DeployFact(TimeValuedHook("m"), FixedFact(Millis(10))).ok());
@@ -115,15 +115,15 @@ TEST(ChaosTest, CrashedVertexDegradesAndSupervisorRecovers) {
   ASSERT_NE(service.supervisor(), nullptr);
   EXPECT_GE(service.supervisor()->crashes_seen(), 1u);
   EXPECT_GE(service.supervisor()->restarts_issued(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_crashes.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().vertex_restarts.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_marked.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().degraded_cleared.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_vertex_crashes_total"), 1u);
+  EXPECT_GE(CounterValue("apollo_vertex_restarts_total"), 1u);
+  EXPECT_GE(CounterValue("apollo_degraded_marked_total"), 1u);
+  EXPECT_GE(CounterValue("apollo_degraded_cleared_total"), 1u);
   ExpectNoDoubleCounting(service, "m");
 }
 
 TEST(ChaosTest, StallDetectionConvertsSilentTimerDeath) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   ApolloService service(SimOptions());
   ASSERT_TRUE(
       service.DeployFact(TimeValuedHook("m"), FixedFact(Millis(10))).ok());
@@ -154,7 +154,7 @@ TEST(ChaosTest, StallDetectionConvertsSilentTimerDeath) {
 }
 
 TEST(ChaosTest, SupervisorGivesUpAndNodeTurnsUnavailable) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   ApolloOptions options = SimOptions();
   options.supervisor.max_restarts = 2;
   ApolloService service(options);
@@ -178,7 +178,7 @@ TEST(ChaosTest, SupervisorGivesUpAndNodeTurnsUnavailable) {
 
   EXPECT_GE(service.supervisor()->give_ups(), 1u);
   EXPECT_EQ(service.supervisor()->AvailableNodes(), 0u);
-  EXPECT_GE(GlobalTelemetry().vertex_give_ups.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_vertex_give_ups_total"), 1u);
 
   // The stream still answers from last-known-good data, marked degraded.
   auto result = service.Query("SELECT LAST(metric) FROM m");
@@ -188,7 +188,7 @@ TEST(ChaosTest, SupervisorGivesUpAndNodeTurnsUnavailable) {
 }
 
 TEST(ChaosTest, PublishDropsUnderTenPercentLoseNothingWithRetry) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   ApolloService service(SimOptions());
   ASSERT_TRUE(
       service.DeployFact(TimeValuedHook("m"), FixedFact(Millis(10))).ok());
@@ -206,9 +206,9 @@ TEST(ChaosTest, PublishDropsUnderTenPercentLoseNothingWithRetry) {
 
   const VertexStats& stats = (*fact)->stats();
   EXPECT_GT(stats.hook_calls.load(), 100u);
-  EXPECT_GT(GlobalTelemetry().publish_drops.load(), 0u)
+  EXPECT_GT(CounterValue("apollo_publish_drops_total"), 0u)
       << "the fault actually fired";
-  EXPECT_GT(GlobalTelemetry().publish_retries.load(), 0u);
+  EXPECT_GT(CounterValue("apollo_publish_retries_total"), 0u);
   // Loss accounting closes exactly: every poll either published once or
   // surfaced a failure — nothing silently lost, nothing double-applied.
   EXPECT_EQ(stats.published.load() + stats.publish_failures.load(),
@@ -224,7 +224,7 @@ TEST(ChaosTest, PublishDropsUnderTenPercentLoseNothingWithRetry) {
 // a ~5% publish-drop rate, and a vertex force-crashed mid-run. Every
 // query must return success within a generous deadline.
 TEST(ChaosTest, ConcurrentQueriesUnderFaultsRealTime) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   ApolloOptions options;
   options.mode = ApolloOptions::Mode::kRealTime;
   options.query_threads = 2;

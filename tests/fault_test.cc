@@ -6,9 +6,9 @@
 
 #include "common/clock.h"
 #include "common/fault.h"
+#include "metric_value.h"
 #include "pubsub/archiver.h"
 #include "pubsub/broker.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo {
 namespace {
@@ -174,7 +174,7 @@ TEST(RetryPolicyTest, RetryableErrorClassification) {
 }
 
 TEST(BrokerFaultTest, InjectedDropSurfacesAsUnavailable) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   SimClock clock;
   Broker broker(clock);
   ASSERT_TRUE(broker.CreateTopic("t").ok());
@@ -192,7 +192,7 @@ TEST(BrokerFaultTest, InjectedDropSurfacesAsUnavailable) {
                                 Sample{1, 1.0, Provenance::kMeasured});
   ASSERT_FALSE(dropped.ok());
   EXPECT_EQ(dropped.error().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(GlobalTelemetry().publish_drops.load(), 1u);
+  EXPECT_EQ(CounterValue("apollo_publish_drops_total"), 1u);
   EXPECT_EQ(handle.stream()->Size(), 0u);
 
   // Budget exhausted: the next publish goes through.
@@ -204,7 +204,7 @@ TEST(BrokerFaultTest, InjectedDropSurfacesAsUnavailable) {
 }
 
 TEST(BrokerFaultTest, PublishWithRetryRecoversFromTransientDrop) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   SimClock clock;
   Broker broker(clock);
   ASSERT_TRUE(broker.CreateTopic("t").ok());
@@ -220,14 +220,14 @@ TEST(BrokerFaultTest, PublishWithRetryRecoversFromTransientDrop) {
   auto published = broker.PublishWithRetry(
       handle, kLocalNode, 1, Sample{1, 1.0, Provenance::kMeasured});
   ASSERT_TRUE(published.ok());
-  EXPECT_GE(GlobalTelemetry().publish_retries.load(), 1u);
-  EXPECT_EQ(GlobalTelemetry().publish_failures.load(), 0u);
+  EXPECT_GE(CounterValue("apollo_publish_retries_total"), 1u);
+  EXPECT_EQ(CounterValue("apollo_publish_failures_total"), 0u);
   // Exactly one entry: the dropped attempt was not double-applied.
   EXPECT_EQ(handle.stream()->Size(), 1u);
 }
 
 TEST(BrokerFaultTest, PublishWithRetryExhaustsAndSurfacesFailure) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   SimClock clock;
   Broker broker(clock);
   ASSERT_TRUE(broker.CreateTopic("t").ok());
@@ -247,7 +247,7 @@ TEST(BrokerFaultTest, PublishWithRetryExhaustsAndSurfacesFailure) {
   ASSERT_FALSE(published.ok());
   EXPECT_EQ(published.error().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(injector.Hits(FaultSite::kPublish), 4u);  // every attempt tried
-  EXPECT_EQ(GlobalTelemetry().publish_failures.load(), 1u);
+  EXPECT_EQ(CounterValue("apollo_publish_failures_total"), 1u);
   EXPECT_EQ(handle.stream()->Size(), 0u);
 }
 
@@ -282,7 +282,7 @@ TEST(BrokerFaultTest, PublishRetryChargesBackoffAndHonorsDeadline) {
 }
 
 TEST(BrokerFaultTest, FetchTimeoutLeavesCursorIntactForRetry) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   SimClock clock;
   Broker broker(clock);
   ASSERT_TRUE(broker.CreateTopic("t").ok());
@@ -310,8 +310,8 @@ TEST(BrokerFaultTest, FetchTimeoutLeavesCursorIntactForRetry) {
                                 policy);
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(cursor, 0u) << "failed fetch must not advance the cursor";
-  EXPECT_GE(GlobalTelemetry().fetch_timeouts.load(), 1u);
-  EXPECT_EQ(GlobalTelemetry().fetch_failures.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_fetch_timeouts_total"), 1u);
+  EXPECT_EQ(CounterValue("apollo_fetch_failures_total"), 1u);
 
   injector.Disarm(FaultSite::kFetch);
   fetched = broker.FetchIntoWithRetry(handle, kLocalNode, cursor, out);
@@ -320,7 +320,7 @@ TEST(BrokerFaultTest, FetchTimeoutLeavesCursorIntactForRetry) {
 }
 
 TEST(ArchiverFaultTest, WriteFailuresAreObservable) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   Archiver<Sample> archiver;  // in-memory
   FaultInjector injector;
   FaultSpec spec;
@@ -341,12 +341,12 @@ TEST(ArchiverFaultTest, WriteFailuresAreObservable) {
   EXPECT_EQ(archiver.Failures(), 1u);
   EXPECT_EQ(archiver.LastError().code(), ErrorCode::kIoError);
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.load(), 1u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_EQ(CounterValue("apollo_archive_write_failures_total"), 1u);
+  EXPECT_GE(CounterValue("apollo_archive_retries_total"), 1u);
 }
 
 TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   Archiver<Sample> archiver;
   FaultInjector injector;
   FaultSpec spec;
@@ -363,11 +363,11 @@ TEST(ArchiverFaultTest, RetryRecoversTransientWriteFailure) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(archiver.Failures(), 0u);
   EXPECT_EQ(archiver.Count(), 1u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_archive_retries_total"), 1u);
 }
 
 TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   SimClock clock;
   Broker broker(clock);
   Archiver<Sample> archiver;
@@ -395,7 +395,7 @@ TEST(StreamFaultTest, EvictionFlushFailuresCountedOnStream) {
   EXPECT_EQ(archiver.Count(), 0u);
   EXPECT_EQ(handle.stream()->ArchiveFailures(), 6u)
       << "all six evicted records failed to persist and were counted";
-  EXPECT_EQ(GlobalTelemetry().archive_write_failures.load(), 6u);
+  EXPECT_EQ(CounterValue("apollo_archive_write_failures_total"), 6u);
 }
 
 TEST(StreamFaultTest, DegradedFlagTransitionsAreEdgeTriggered) {

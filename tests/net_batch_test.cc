@@ -16,12 +16,12 @@
 #include "aqe/executor.h"
 #include "common/clock.h"
 #include "common/fault.h"
+#include "metric_value.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/messages.h"
 #include "net/shm_lane.h"
 #include "pubsub/broker.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 namespace {
@@ -318,7 +318,7 @@ TEST_F(NetBatchLoopbackTest, BatchDecodeFaultRejectsWholeBatch) {
                 .fire_on_hits = {0}});
   broker_.AttachFaultInjector(&injector);
   const std::uint64_t errors_before =
-      GlobalTelemetry().net_batch_decode_errors.Value();
+      CounterValue("apollo_net_batch_decode_errors_total");
 
   ApolloClient client(ClientFor("batcher"));
   PublishBatchMsg msg = MakeBatch({{"b.cpu", 4}});
@@ -326,7 +326,7 @@ TEST_F(NetBatchLoopbackTest, BatchDecodeFaultRejectsWholeBatch) {
   ASSERT_FALSE(ack.ok());
   EXPECT_EQ(ack.error().code(), ErrorCode::kUnavailable);
   EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 0u);
-  EXPECT_EQ(GlobalTelemetry().net_batch_decode_errors.Value(),
+  EXPECT_EQ(CounterValue("apollo_net_batch_decode_errors_total"),
             errors_before + 1);
 
   // The fault fired once; the retry goes through.
@@ -446,13 +446,13 @@ TEST_F(NetBatchLoopbackTest, QueuedSamplesSurfaceOnConnectionLoss) {
 
 TEST_F(NetBatchLoopbackTest, ShmLaneDrainsIntoStream) {
   const std::uint64_t attaches_before =
-      GlobalTelemetry().net_shm_attaches.Value();
+      CounterValue("apollo_net_shm_attaches_total");
   ClientConfig config = ClientFor("shm");
   config.shm_slots = 64;
   ApolloClient client(config);
   ASSERT_TRUE(client.EnableShmLane({"b.cpu", "b.mem"}).ok());
   EXPECT_TRUE(client.shm_active());
-  EXPECT_EQ(GlobalTelemetry().net_shm_attaches.Value(), attaches_before + 1);
+  EXPECT_EQ(CounterValue("apollo_net_shm_attaches_total"), attaches_before + 1);
 
   TelemetryStream* cpu = *broker_.GetTopic("b.cpu");
   const std::uint64_t total = 500;
@@ -476,9 +476,9 @@ TEST_F(NetBatchLoopbackTest, ShmAttachFaultFallsBackToTcp) {
       {.site = FaultSite::kShmAttach, .topic = "", .fire_on_hits = {0}});
   broker_.AttachFaultInjector(&injector);
   const std::uint64_t failures_before =
-      GlobalTelemetry().net_shm_attach_failures.Value();
+      CounterValue("apollo_net_shm_attach_failures_total");
   const std::uint64_t fallbacks_before =
-      GlobalTelemetry().net_shm_fallbacks.Value();
+      CounterValue("apollo_net_shm_fallbacks_total");
 
   ClientConfig config = ClientFor("shm");
   config.batch_max_samples = 4;
@@ -486,9 +486,9 @@ TEST_F(NetBatchLoopbackTest, ShmAttachFaultFallsBackToTcp) {
   Status attached = client.EnableShmLane({"b.cpu"});
   EXPECT_FALSE(attached.ok());
   EXPECT_FALSE(client.shm_active());
-  EXPECT_EQ(GlobalTelemetry().net_shm_attach_failures.Value(),
+  EXPECT_EQ(CounterValue("apollo_net_shm_attach_failures_total"),
             failures_before + 1);
-  EXPECT_EQ(GlobalTelemetry().net_shm_fallbacks.Value(),
+  EXPECT_EQ(CounterValue("apollo_net_shm_fallbacks_total"),
             fallbacks_before + 1);
 
   // TCP batching still works after the refusal.

@@ -23,12 +23,12 @@
 #include "aqe/executor.h"
 #include "common/clock.h"
 #include "common/fault.h"
+#include "metric_value.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/remote_query.h"
 #include "net/transport.h"
 #include "pubsub/broker.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 namespace {
@@ -89,7 +89,8 @@ TEST(NetChaos, ConnDropsAccountedExactly) {
   fault.Arm(drop);
   node.daemon->server().AttachFaultInjector(&fault);
 
-  const std::uint64_t drops_before = GlobalTelemetry().net_conn_drops.Value();
+  const std::uint64_t drops_before =
+      CounterValue("apollo_net_conn_drops_total");
   ApolloClient client(ClientFor(node.daemon->port(), "drop-client"));
   constexpr int kPings = 80;
   int ok = 0;
@@ -104,7 +105,7 @@ TEST(NetChaos, ConnDropsAccountedExactly) {
   const std::uint64_t fires = fault.Fires(FaultSite::kConnDrop);
   // Every injected drop is counted exactly once, and every drop failed
   // exactly one ping (the connection died before the frame dispatched).
-  EXPECT_EQ(GlobalTelemetry().net_conn_drops.Value() - drops_before, fires);
+  EXPECT_EQ(CounterValue("apollo_net_conn_drops_total") - drops_before, fires);
   EXPECT_EQ(static_cast<std::uint64_t>(failed), fires);
   EXPECT_EQ(ok + failed, kPings);
   EXPECT_GT(fires, 0u);  // p=0.25 over 80 pings: a zero-fire run is a bug
@@ -126,7 +127,8 @@ TEST(NetChaos, RecvDropsAccountedExactly) {
   fault.Arm(drop);
   node.daemon->server().AttachFaultInjector(&fault);
 
-  const std::uint64_t drops_before = GlobalTelemetry().net_recv_drops.Value();
+  const std::uint64_t drops_before =
+      CounterValue("apollo_net_recv_drops_total");
   ClientConfig config = ClientFor(node.daemon->port(), "recv-client");
   config.request_timeout = 200 * kNsPerMs;  // dropped requests time out fast
   ApolloClient client(config);
@@ -138,7 +140,7 @@ TEST(NetChaos, RecvDropsAccountedExactly) {
     if (!id.ok()) ++failed;
   }
   // Exactly max_fires requests were swallowed; the rest succeeded.
-  EXPECT_EQ(GlobalTelemetry().net_recv_drops.Value() - drops_before, 3u);
+  EXPECT_EQ(CounterValue("apollo_net_recv_drops_total") - drops_before, 3u);
   EXPECT_EQ(fault.Fires(FaultSite::kNetRecv), 3u);
   EXPECT_EQ(failed, 3);
   node.daemon->server().AttachFaultInjector(nullptr);
@@ -191,9 +193,9 @@ TEST(NetChaos, StalledNodeServesLastKnownGoodDegraded) {
   node_b.daemon->server().AttachFaultInjector(&stall);
 
   const std::uint64_t timeouts_before =
-      GlobalTelemetry().net_node_timeouts.Value();
+      CounterValue("apollo_net_node_timeouts_total");
   const std::uint64_t fallbacks_before =
-      GlobalTelemetry().net_degraded_fallbacks.Value();
+      CounterValue("apollo_net_degraded_fallbacks_total");
   auto degraded = engine.Execute(sql);
   ASSERT_TRUE(degraded.ok()) << degraded.error().ToString();
   ASSERT_EQ(degraded->rows.size(), 2u);
@@ -210,8 +212,9 @@ TEST(NetChaos, StalledNodeServesLastKnownGoodDegraded) {
       EXPECT_EQ(row.values[0], 23.0);  // LAST of 20,21,22,23 — cached value
     }
   }
-  EXPECT_EQ(GlobalTelemetry().net_node_timeouts.Value(), timeouts_before + 1);
-  EXPECT_EQ(GlobalTelemetry().net_degraded_fallbacks.Value(),
+  EXPECT_EQ(CounterValue("apollo_net_node_timeouts_total"),
+            timeouts_before + 1);
+  EXPECT_EQ(CounterValue("apollo_net_degraded_fallbacks_total"),
             fallbacks_before + 1);
   bool saw_cache_outcome = false;
   for (const NodeOutcome& outcome : engine.LastOutcomes()) {
@@ -321,7 +324,7 @@ TEST(NetChaos, BackpressureSkipsDroppableFramesExactly) {
                sizeof(read_timeout));
 
   const std::uint64_t skips_before =
-      GlobalTelemetry().net_backpressure_skips.Value();
+      CounterValue("apollo_net_backpressure_skips_total");
   std::vector<std::uint8_t> ping;
   EncodeFrame(ping, MsgType::kPing, 1, {});
   ASSERT_EQ(::write(fd, ping.data(), ping.size()),
@@ -337,7 +340,7 @@ TEST(NetChaos, BackpressureSkipsDroppableFramesExactly) {
   EXPECT_LT(accepted, FloodHandler::kFloodFrames)
       << "flood never hit the outbound cap — raise kFloodFrames";
   // Every refused frame was counted as a backpressure skip, exactly.
-  EXPECT_EQ(GlobalTelemetry().net_backpressure_skips.Value() - skips_before,
+  EXPECT_EQ(CounterValue("apollo_net_backpressure_skips_total") - skips_before,
             static_cast<std::uint64_t>(FloodHandler::kFloodFrames - accepted));
   // The connection survived the overflow.
   EXPECT_EQ(server.ConnectionCount(), 1u);

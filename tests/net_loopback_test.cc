@@ -18,10 +18,10 @@
 
 #include "aqe/executor.h"
 #include "common/clock.h"
+#include "metric_value.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "pubsub/broker.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 namespace {
@@ -294,7 +294,7 @@ TEST_F(NetLoopbackTest, PartialQuerySkipsUnservedBranches) {
 TEST_F(NetLoopbackTest, MalformedFrameCountsProtocolError) {
   ApolloClient client(ClientFor("proto-test"));
   ASSERT_TRUE(client.Ping().ok());
-  const std::uint64_t before = GlobalTelemetry().net_protocol_errors.Value();
+  const std::uint64_t before = CounterValue("apollo_net_protocol_errors_total");
   // A raw socket spews garbage: the daemon must count a protocol error and
   // close that connection without disturbing the healthy client.
   struct sockaddr_in addr = {};
@@ -317,7 +317,7 @@ TEST_F(NetLoopbackTest, MalformedFrameCountsProtocolError) {
   ssize_t n = ::read(fd, buf, sizeof(buf));
   EXPECT_EQ(n, 0);
   ::close(fd);
-  EXPECT_GE(GlobalTelemetry().net_protocol_errors.Value(), before + 1);
+  EXPECT_GE(CounterValue("apollo_net_protocol_errors_total"), before + 1);
   // The well-behaved client is unaffected.
   EXPECT_TRUE(client.Ping().ok());
 }
@@ -328,7 +328,7 @@ TEST_F(NetLoopbackTest, IdleConnectionsAreReaped) {
   config.server.idle_timeout = 50 * kNsPerMs;
   StartDaemon(config);
 
-  const std::uint64_t before = GlobalTelemetry().net_idle_closes.Value();
+  const std::uint64_t before = CounterValue("apollo_net_idle_closes_total");
   ApolloClient client(ClientFor("idle-test"));
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_EQ(daemon_->server().ConnectionCount(), 1u);
@@ -338,23 +338,24 @@ TEST_F(NetLoopbackTest, IdleConnectionsAreReaped) {
     clock_.SleepFor(kNsPerMs);
   }
   EXPECT_EQ(daemon_->server().ConnectionCount(), 0u);
-  EXPECT_GE(GlobalTelemetry().net_idle_closes.Value(), before + 1);
+  EXPECT_GE(CounterValue("apollo_net_idle_closes_total"), before + 1);
 }
 
 TEST_F(NetLoopbackTest, CountersAccountBytesAndMessages) {
   const std::uint64_t sent_before =
-      GlobalTelemetry().net_messages_sent.Value();
+      CounterValue("apollo_net_messages_sent_total");
   const std::uint64_t received_before =
-      GlobalTelemetry().net_messages_received.Value();
-  const std::uint64_t bytes_before = GlobalTelemetry().net_bytes_sent.Value();
+      CounterValue("apollo_net_messages_received_total");
+  const std::uint64_t bytes_before =
+      CounterValue("apollo_net_bytes_sent_total");
   ApolloClient client(ClientFor("counter-test"));
   ASSERT_TRUE(client.Ping().ok());
   ASSERT_TRUE(client.Ping().ok());
   // Hello + 2 pings arrived; ack + 2 pongs went out (server side counters).
-  EXPECT_GE(GlobalTelemetry().net_messages_received.Value(),
+  EXPECT_GE(CounterValue("apollo_net_messages_received_total"),
             received_before + 3);
-  EXPECT_GE(GlobalTelemetry().net_messages_sent.Value(), sent_before + 3);
-  EXPECT_GE(GlobalTelemetry().net_bytes_sent.Value(),
+  EXPECT_GE(CounterValue("apollo_net_messages_sent_total"), sent_before + 3);
+  EXPECT_GE(CounterValue("apollo_net_bytes_sent_total"),
             bytes_before + 3 * kHeaderSize);
 }
 

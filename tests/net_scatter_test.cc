@@ -25,12 +25,12 @@
 #include "aqe/executor.h"
 #include "common/clock.h"
 #include "common/fault.h"
+#include "metric_value.h"
 #include "net/client.h"
 #include "net/cluster_client.h"
 #include "net/daemon.h"
 #include "net/remote_query.h"
 #include "pubsub/broker.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo::net {
 namespace {
@@ -44,7 +44,7 @@ Sample MakeSample(TimeNs timestamp, double value) {
 }
 
 std::uint64_t ConnectionsOpened() {
-  return GlobalTelemetry().net_connections_opened.Value();
+  return CounterValue("apollo_net_connections_opened_total");
 }
 
 // Ports for cluster members, which must be known before any daemon

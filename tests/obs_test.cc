@@ -1,26 +1,34 @@
-// Observability layer tests: metrics registry semantics, the
-// TelemetryCounters facade's snapshot completeness, LatencyHistogram
-// percentile/merge edge cases, and span tracing (Chrome trace JSON export
-// verified through a real JSON parser, deterministic under SimClock, and a
-// multithreaded recording stress leg named ObsStress* so the tsan preset
-// picks it up).
+// Observability layer tests: metrics registry semantics, exposition
+// grouping, a golden test of the components' health counters (names and
+// HELP text), LatencyHistogram percentile/merge edge cases, and span
+// tracing (Chrome trace JSON export verified through a real JSON parser,
+// deterministic under SimClock, and a multithreaded recording stress leg
+// named ObsStress* so the tsan preset picks it up).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "apollo/apollo_service.h"
 #include "common/clock.h"
 #include "common/histogram.h"
+#include "net/client.h"
+#include "net/remote_query.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pubsub/telemetry.h"
 
 namespace apollo {
 namespace {
@@ -291,52 +299,245 @@ TEST(MetricsRegistry, ResetAllZeroes) {
   EXPECT_EQ(histogram.Snapshot().MinNs(), 123);
 }
 
-// --- TelemetryCounters facade: snapshot completeness ---
+// --- Prometheus exposition: one header per family ---
 
-// Every field the facade exposes must be registered (distinct metric
-// cells), writable through the handle, and covered by Reset(). The fields()
-// walk makes "added a counter, forgot Reset()" structurally impossible, and
-// this test pins the contract.
-TEST(TelemetryCounters, SnapshotCompleteness) {
-  TelemetryCounters& telemetry = GlobalTelemetry();
-  telemetry.Reset();
+// Per-tenant counters register {a} instances, then {b} instances later,
+// interleaved with another family. Each family must still get exactly one
+// # TYPE line, with all of its samples directly below it.
+TEST(MetricsRegistry, ExpositionGroupsInterleavedFamilies) {
+  obs::MetricsRegistry registry;
+  registry.GetCounter("admitted_total", "Admitted", {{"tenant", "a"}}).Inc(1);
+  registry.GetCounter("shed_total", "Shed", {{"tenant", "a"}}).Inc(2);
+  registry.GetHistogram("latency_ns", "Latency").Record(100);
+  registry.GetCounter("admitted_total", "Admitted", {{"tenant", "b"}}).Inc(3);
+  registry.GetCounter("shed_total", "Shed", {{"tenant", "b"}}).Inc(4);
 
-  const auto& fields = telemetry.fields();
-  ASSERT_GE(fields.size(), 26u);  // the original 25 + stream_evictions
-
-  // Field names are unique and every handle is bound to its own cell.
-  std::set<std::string> names;
-  for (const auto& [name, counter] : fields) {
-    EXPECT_TRUE(names.insert(name).second) << "duplicate field " << name;
-    EXPECT_TRUE(counter.bound()) << name;
+  std::vector<std::string> types;
+  std::map<std::string, std::vector<std::size_t>> sample_lines;
+  std::map<std::string, std::size_t> header_line;
+  std::istringstream in(registry.RenderPrometheus());
+  std::string line;
+  std::string family;
+  for (std::size_t n = 0; std::getline(in, line); ++n) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      types.push_back(family);
+      header_line[family] = n;
+    } else if (line[0] != '#') {
+      // A sample belongs to the family whose name prefixes it.
+      ASSERT_EQ(line.rfind(family, 0), 0u) << line << " after " << family;
+      sample_lines[family].push_back(n);
+    }
   }
-
-  // Give every field a distinct value, then check a few struct members see
-  // exactly their own field's value (facade handles alias registry cells).
-  std::uint64_t next = 1;
-  for (auto [name, counter] : fields) counter.store(next++);
-  EXPECT_EQ(telemetry.publishes.load(), 1u);  // first declared field
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    EXPECT_EQ(fields[i].second.load(), i + 1) << fields[i].first;
+  EXPECT_EQ(types, (std::vector<std::string>{"admitted_total", "shed_total",
+                                              "latency_ns"}));
+  for (const std::string& name : types) {
+    const std::vector<std::size_t>& lines = sample_lines[name];
+    ASSERT_FALSE(lines.empty()) << name;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i], header_line[name] + 1 + i) << name;
+    }
   }
-
-  // Reset() must cover every field.
-  telemetry.Reset();
-  for (const auto& [name, counter] : fields) {
-    EXPECT_EQ(counter.load(), 0u) << "Reset() missed " << name;
-  }
-  EXPECT_EQ(telemetry.publishes.load(), 0u);
-  EXPECT_EQ(telemetry.stream_evictions.load(), 0u);
+  EXPECT_EQ(sample_lines["admitted_total"].size(), 2u);
+  EXPECT_EQ(sample_lines["shed_total"].size(), 2u);
 }
 
-TEST(TelemetryCounters, FacadeAliasesPrometheusExposition) {
-  TelemetryCounters& telemetry = GlobalTelemetry();
-  telemetry.Reset();
-  telemetry.publishes.fetch_add(42, std::memory_order_relaxed);
-  const std::string text =
-      obs::MetricsRegistry::Global().RenderPrometheus();
-  EXPECT_NE(text.find("apollo_publishes_total 42"), std::string::npos);
-  telemetry.Reset();
+// --- golden exposition of the components' own health counters ---
+
+// Reserves `n` distinct loopback ports: all are bound before any closes,
+// so the kernel cannot hand one out twice.
+std::vector<std::uint16_t> PickFreePorts(std::size_t n) {
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    fds.push_back(fd);
+    ports.push_back(ntohs(addr.sin_port));
+  }
+  for (int fd : fds) ::close(fd);
+  return ports;
+}
+
+// Name and HELP text of every broker, archive, vertex, stream, network and
+// cluster health counter. Dashboards and the end-to-end benchmark read
+// these by name, so neither may change.
+const std::vector<std::pair<std::string, std::string>> kHealthCounters = {
+    {"apollo_publishes_total", "Broker publishes attempted"},
+    {"apollo_publish_drops_total", "Publishes dropped by injected faults"},
+    {"apollo_publish_retries_total", "Publish backoff retries"},
+    {"apollo_publish_failures_total", "Publishes failed after retries"},
+    {"apollo_fetch_timeouts_total", "Fetches timed out by injected faults"},
+    {"apollo_fetch_retries_total", "Fetch backoff retries"},
+    {"apollo_fetch_failures_total", "Fetches failed after retries"},
+    {"apollo_archive_writes_total", "Archive records appended"},
+    {"apollo_archive_retries_total", "Archive append backoff retries"},
+    {"apollo_archive_write_failures_total",
+     "Archive appends failed after retries"},
+    {"apollo_archive_write_errors_total",
+     "Archive write/flush/fsync errors before retry"},
+    {"apollo_archive_fsyncs_total", "Archive segment fsyncs issued"},
+    {"apollo_archive_fsync_failures_total", "Archive segment fsync failures"},
+    {"apollo_archive_rotations_total", "Archive segment rotations"},
+    {"apollo_archive_read_errors_total",
+     "Archive scans that failed on the query path"},
+    {"apollo_archive_recovered_records_total",
+     "Valid records recovered by startup WAL scans"},
+    {"apollo_archive_truncated_bytes_total",
+     "Torn/corrupt tail bytes truncated at startup"},
+    {"apollo_archive_corrupt_segments_total",
+     "Segments with any truncation or quarantine"},
+    {"apollo_archive_quarantined_segments_total",
+     "Segments renamed *.corrupt on open"},
+    {"apollo_vertex_crashes_total", "SCoRe vertex crashes observed"},
+    {"apollo_vertex_stalls_total", "Silent vertex stalls converted to crashes"},
+    {"apollo_vertex_restarts_total", "Supervisor restarts issued"},
+    {"apollo_vertex_give_ups_total", "Vertices given up on after max restarts"},
+    {"apollo_degraded_marked_total", "Streams marked degraded"},
+    {"apollo_degraded_cleared_total", "Streams cleared from degraded"},
+    {"apollo_stream_evictions_total", "Window entries evicted to an archiver"},
+    {"apollo_net_bytes_sent_total", "Wire bytes written to sockets"},
+    {"apollo_net_bytes_received_total", "Wire bytes read from sockets"},
+    {"apollo_net_messages_sent_total", "Wire frames sent"},
+    {"apollo_net_messages_received_total",
+     "Wire frames received and dispatched"},
+    {"apollo_net_connections_opened_total",
+     "Connections accepted or established"},
+    {"apollo_net_connections_closed_total", "Connections closed (any reason)"},
+    {"apollo_net_conn_drops_total",
+     "Connections dropped by injected kConnDrop faults"},
+    {"apollo_net_send_failures_total",
+     "Frame sends failed (injected or socket error)"},
+    {"apollo_net_recv_drops_total",
+     "Received frames dropped by injected kNetRecv faults"},
+    {"apollo_net_protocol_errors_total",
+     "Connections closed on bad magic/version/CRC"},
+    {"apollo_net_backpressure_skips_total",
+     "Subscription deliveries skipped: outbound queue full"},
+    {"apollo_net_idle_closes_total", "Connections reaped by the idle timeout"},
+    {"apollo_net_node_timeouts_total",
+     "Scatter-gather node queries past their deadline"},
+    {"apollo_net_degraded_fallbacks_total",
+     "Node answers served from last-known-good cache"},
+    {"apollo_net_batch_publishes_total",
+     "Batch publish frames handled by daemons"},
+    {"apollo_net_batch_samples_total",
+     "Samples carried in batch publish frames"},
+    {"apollo_net_batch_decode_errors_total",
+     "Batch publish frames rejected before handoff"},
+    {"apollo_net_batch_sample_errors_total",
+     "Per-sample batch failures reported in ack bitmaps"},
+    {"apollo_net_shm_attaches_total",
+     "Shared-memory ingest lanes accepted by daemons"},
+    {"apollo_net_shm_attach_failures_total",
+     "Shared-memory lane handshakes refused or failed"},
+    {"apollo_net_shm_samples_total",
+     "Samples drained from shared-memory ingest rings"},
+    {"apollo_net_shm_fallbacks_total",
+     "Samples rerouted to TCP because the shm lane was full or down"},
+    {"apollo_net_shm_orphans_reaped_total",
+     "Orphaned shm lane segments unlinked after their producer died"},
+    {"apollo_cluster_heartbeats_sent_total", "Membership probes sent to peers"},
+    {"apollo_cluster_heartbeat_failures_total",
+     "Membership probe round-trips that failed or were dropped"},
+    {"apollo_cluster_peer_suspects_total",
+     "Peer transitions from alive to suspect"},
+    {"apollo_cluster_peer_deaths_total",
+     "Peer transitions to dead (failed over)"},
+    {"apollo_cluster_peer_recoveries_total",
+     "Dead peers observed again (restart or partition heal)"},
+    {"apollo_cluster_map_pushes_total",
+     "Cluster map pushes to connected clients on membership change"},
+    {"apollo_cluster_forwarded_publishes_total",
+     "Publish runs proxied to the topic's primary"},
+    {"apollo_cluster_replication_batches_total",
+     "Replicate round-trips sent to secondaries"},
+    {"apollo_cluster_replication_failures_total",
+     "Replicate round-trips that failed or were refused"},
+    {"apollo_cluster_quorum_failures_total",
+     "Publish runs NACKed because the write quorum was not met"},
+    {"apollo_cluster_resync_topics_total",
+     "Topics caught up from a peer during resync"},
+    {"apollo_cluster_resync_entries_total",
+     "Entries copied from peers during resync"},
+};
+
+// The stack `apollod --cluster --archive-dir` builds, two nodes, plus one
+// fact vertex (cluster mode deploys none; vertices own the crash and
+// degraded counters). After one publish, one query and one scatter, each
+// component has registered its counters: all of them are exported once,
+// as counters, with their HELP text.
+TEST(MetricsGolden, ClusterStackExportsEveryHealthCounter) {
+  const std::string dir = testing::TempDir() + "/obs_golden_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  const auto ports = PickFreePorts(2);
+  std::vector<net::ClusterPeer> peers(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    peers[i].name = "node" + std::to_string(i);
+    peers[i].port = ports[i];
+  }
+  std::vector<std::unique_ptr<ApolloService>> nodes;
+  for (std::size_t i = 0; i < 2; ++i) {
+    ApolloOptions options;
+    options.mode = ApolloOptions::Mode::kRealTime;
+    options.archive_dir = dir + "/" + peers[i].name;
+    options.coldtier_enabled = true;
+    auto node = std::make_unique<ApolloService>(options);
+    if (i == 0) {
+      MonitorHook hook{"golden.metric", [](TimeNs) { return 1.0; }, 0};
+      ASSERT_TRUE(node->DeployFact(hook).ok());
+    }
+    ASSERT_TRUE(node->Start().ok());
+    net::DaemonConfig config;
+    config.server.port = ports[i];
+    config.server.server_name = peers[i].name;
+    config.cluster.enabled = true;
+    config.cluster.self = peers[i].name;
+    config.cluster.members = peers;
+    config.cluster.heartbeat_interval = Millis(50);
+    ASSERT_TRUE(node->StartDaemon(config).ok());
+    nodes.push_back(std::move(node));
+  }
+
+  net::ClientConfig client_config;
+  client_config.port = ports[0];
+  client_config.client_name = "golden";
+  net::ApolloClient client(client_config);
+  (void)client.Publish("golden.topic", 1, Sample{1, 2.0});
+  (void)client.Query("SELECT COUNT(*) FROM golden.topic");
+  net::RemoteQueryOptions scatter_options;
+  scatter_options.cluster_mode = true;
+  net::RemoteQueryEngine scatter(
+      {{peers[0].name, "127.0.0.1", ports[0]},
+       {peers[1].name, "127.0.0.1", ports[1]}},
+      scatter_options);
+  (void)scatter.Execute("SELECT COUNT(*) FROM golden.topic");
+
+  const std::string text = obs::MetricsRegistry::Global().RenderPrometheus();
+  for (const auto& [name, help] : kHealthCounters) {
+    const std::string header =
+        "# HELP " + name + " " + help + "\n# TYPE " + name + " counter\n";
+    const std::size_t at = text.find(header);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << name << " is missing or its HELP text changed";
+      continue;
+    }
+    EXPECT_EQ(text.find("# TYPE " + name + " ", at + header.size()),
+              std::string::npos)
+        << name << " has a second header";
+  }
+  client.Close();
+  for (auto& node : nodes) {
+    node->StopDaemon();
+    node->Stop();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- LatencyHistogram edge cases ---

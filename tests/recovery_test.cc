@@ -10,9 +10,9 @@
 
 #include "apollo/apollo_service.h"
 #include "common/fault.h"
+#include "metric_value.h"
 #include "pubsub/archiver.h"
 #include "pubsub/stream.h"
-#include "pubsub/telemetry.h"
 #include "score/monitor_hook.h"
 
 namespace apollo {
@@ -162,7 +162,7 @@ TEST(ArchiveRecovery, BadHeaderSegmentQuarantined) {
 }
 
 TEST(ArchiveRecovery, InjectedWriteFailureSurfacesStatusAndCounter) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   const std::string dir = FreshDir("wal_write_fault");
   Archiver<Sample> archiver(dir + "/metric.log");
   FaultInjector injector;
@@ -174,7 +174,7 @@ TEST(ArchiveRecovery, InjectedWriteFailureSurfacesStatusAndCounter) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kIoError);
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_write_errors.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_archive_write_errors_total"), 1u);
 
   // The failure left no partial frame: the next append lands cleanly.
   ASSERT_TRUE(archiver.Append(0, Seconds(1), S(Seconds(1), 1.0)).ok());
@@ -182,7 +182,7 @@ TEST(ArchiveRecovery, InjectedWriteFailureSurfacesStatusAndCounter) {
 }
 
 TEST(ArchiveRecovery, RetryAppendsExactlyOnceAfterInjectedFailure) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   const std::string dir = FreshDir("wal_write_retry");
   Archiver<Sample> archiver(dir + "/metric.log");
   FaultInjector injector;
@@ -193,14 +193,14 @@ TEST(ArchiveRecovery, RetryAppendsExactlyOnceAfterInjectedFailure) {
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 7.0)).ok());
   EXPECT_EQ(archiver.Count(), 1u);
   EXPECT_EQ(archiver.Failures(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_retries.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_archive_retries_total"), 1u);
   auto all = archiver.ReadRange(0, Seconds(1000));
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 1u);  // exactly once, no duplicate from the retry
 }
 
 TEST(ArchiveRecovery, InjectedFsyncFailureRollsBackRecord) {
-  GlobalTelemetry().Reset();
+  obs::MetricsRegistry::Global().ResetAllForTest();
   const std::string dir = FreshDir("wal_fsync_fault");
   WalConfig config;
   config.fsync_policy = FsyncPolicy::kEveryN;
@@ -216,7 +216,7 @@ TEST(ArchiveRecovery, InjectedFsyncFailureRollsBackRecord) {
   // The record was written but could not be made durable: it must be
   // rolled back so a retry cannot double-append it.
   EXPECT_EQ(archiver.Count(), 0u);
-  EXPECT_GE(GlobalTelemetry().archive_fsync_failures.load(), 1u);
+  EXPECT_GE(CounterValue("apollo_archive_fsync_failures_total"), 1u);
 
   ASSERT_TRUE(archiver.AppendWithRetry(0, Seconds(1), S(Seconds(1), 1.0)).ok());
   EXPECT_EQ(archiver.Count(), 1u);

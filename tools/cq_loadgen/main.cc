@@ -19,7 +19,7 @@
 // for a query over its topics (and --tenant to exercise a quota):
 //
 //   ./build/tools/cq_loadgen/cq_loadgen --target 127.0.0.1:7401 \
-//       --clients 5000 --sql "SUBSCRIBE SELECT MEAN(Metric) FROM ..." \
+//       --clients 5000 --sql "SUBSCRIBE SELECT AVG(Metric) FROM ..." \
 //       --tenant dashboards
 //
 // The last stdout line is machine-parseable (bench lane (h) mirrors this
