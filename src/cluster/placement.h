@@ -26,6 +26,10 @@
 
 namespace apollo::cluster {
 
+// Ring points per node. Daemons, ClusterClient and RemoteQueryEngine must
+// all place with the same count for their routing to agree.
+inline constexpr std::uint32_t kPlacementVnodes = 64;
+
 // Stable cross-process hash for ring points and topic keys.
 std::uint64_t PlacementHash(std::string_view key);
 
@@ -34,7 +38,7 @@ class PlacementRing {
   // `nodes` is the full configured membership (order-insensitive: ring
   // position depends only on each name's hash). Duplicate names collapse.
   explicit PlacementRing(const std::vector<std::string>& nodes,
-                         std::uint32_t vnodes = 64);
+                         std::uint32_t vnodes = kPlacementVnodes);
 
   // First `rf` distinct node names clockwise from hash(topic), over ALL
   // configured nodes (liveness-agnostic base order).

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <limits>
 
-#include "pubsub/wal_format.h"
-
 namespace apollo::coldtier {
 
 namespace {
@@ -316,7 +314,7 @@ bool DecodeProvenance(const std::uint8_t* data, std::size_t size,
 void PutSection(std::vector<std::uint8_t>& out,
                 const std::vector<std::uint8_t>& payload) {
   PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, wal::Crc32c(payload.data(), payload.size()));
+  PutU32(out, Crc32c(payload.data(), payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -328,7 +326,7 @@ bool GetSection(const std::uint8_t* data, std::size_t size, std::size_t* pos,
   const std::uint32_t crc = GetU32(data + *pos + 4);
   if (len > kMaxSectionLen || len > size - *pos - 8) return false;
   const std::uint8_t* body = data + *pos + 8;
-  if (wal::Crc32c(body, len) != crc) return false;
+  if (Crc32c(body, len) != crc) return false;
   *payload = body;
   *payload_size = len;
   *pos += 8 + len;
@@ -372,30 +370,6 @@ ZoneMap ComputeZoneMap(const std::vector<BlockRow>& rows) {
   return zone;
 }
 
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
-}
-
 void PutZone(std::vector<std::uint8_t>& out, const ZoneMap& zone) {
   PutU64(out, static_cast<std::uint64_t>(zone.min_ts));
   PutU64(out, static_cast<std::uint64_t>(zone.max_ts));
@@ -430,11 +404,11 @@ bool EncodeBlock(const std::vector<BlockRow>& rows,
   PutU32(out, kBlockMagic);
   PutU32(out, kBlockVersion);
   PutU32(out, static_cast<std::uint32_t>(rows.size()));
-  PutU32(out, wal::Crc32c(out.data(), 12));
+  PutU32(out, Crc32c(out.data(), 12));
 
   const ZoneMap zone = ComputeZoneMap(rows);
   PutZone(out, zone);
-  PutU32(out, wal::Crc32c(out.data() + kBlockHeaderSize, 56));
+  PutU32(out, Crc32c(out.data() + kBlockHeaderSize, 56));
   PutU32(out, 0);  // pad the zone map region to 64 bytes
 
   std::vector<std::uint8_t> column;
@@ -461,10 +435,10 @@ bool DecodeZoneMap(const std::uint8_t* data, std::size_t size,
   if (GetU32(data) != kBlockMagic) return false;
   if (GetU32(data + 4) != kBlockVersion) return false;
   const std::uint32_t rows = GetU32(data + 8);
-  if (GetU32(data + 12) != wal::Crc32c(data, 12)) return false;
+  if (GetU32(data + 12) != Crc32c(data, 12)) return false;
   if (rows == 0 || rows > kMaxBlockRows) return false;
   const std::uint8_t* zp = data + kBlockHeaderSize;
-  if (GetU32(zp + 56) != wal::Crc32c(zp, 56)) return false;
+  if (GetU32(zp + 56) != Crc32c(zp, 56)) return false;
   // The 4 pad bytes completing the 64-byte region must be zero: every
   // accepted image is the unique (canonical) encoding of its rows.
   if (GetU32(zp + 60) != 0) return false;

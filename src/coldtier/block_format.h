@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/codec.h"
 
 namespace apollo::coldtier {
 
@@ -118,11 +119,7 @@ bool DecodeBlock(const std::uint8_t* data, std::size_t size,
 bool DecodeZoneMap(const std::uint8_t* data, std::size_t size,
                    std::uint32_t* row_count, ZoneMap* zone);
 
-// Serialization helpers shared with the manifest codec.
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v);
-std::uint32_t GetU32(const std::uint8_t* p);
-std::uint64_t GetU64(const std::uint8_t* p);
+// Zone-map serialization shared with the manifest codec.
 void PutZone(std::vector<std::uint8_t>& out, const ZoneMap& zone);
 ZoneMap GetZone(const std::uint8_t* p);  // reads 56 bytes
 

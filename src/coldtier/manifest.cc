@@ -8,7 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "pubsub/wal_format.h"
+#include "common/codec.h"
 
 namespace apollo::coldtier {
 
@@ -43,7 +43,7 @@ void EncodeManifest(const Manifest& manifest,
   PutU32(out, kManifestMagic);
   PutU32(out, kManifestVersion);
   PutU32(out, static_cast<std::uint32_t>(manifest.entries.size()));
-  PutU32(out, wal::Crc32c(out.data(), 12));
+  PutU32(out, Crc32c(out.data(), 12));
   const std::size_t body_start = out.size();
   for (const ManifestEntry& entry : manifest.entries) {
     PutU64(out, entry.first_wal_seq);
@@ -56,7 +56,7 @@ void EncodeManifest(const Manifest& manifest,
     out.push_back(static_cast<std::uint8_t>(name_len >> 8));
     out.insert(out.end(), entry.block_file.begin(), entry.block_file.end());
   }
-  PutU32(out, wal::Crc32c(out.data() + body_start, out.size() - body_start));
+  PutU32(out, Crc32c(out.data() + body_start, out.size() - body_start));
 }
 
 bool DecodeManifest(const std::uint8_t* data, std::size_t size,
@@ -65,9 +65,9 @@ bool DecodeManifest(const std::uint8_t* data, std::size_t size,
   if (GetU32(data) != kManifestMagic) return false;
   if (GetU32(data + 4) != kManifestVersion) return false;
   const std::uint32_t count = GetU32(data + 8);
-  if (GetU32(data + 12) != wal::Crc32c(data, 12)) return false;
+  if (GetU32(data + 12) != Crc32c(data, 12)) return false;
   if (count > kMaxManifestEntries) return false;
-  if (GetU32(data + size - 4) != wal::Crc32c(data + 16, size - 20)) return false;
+  if (GetU32(data + size - 4) != Crc32c(data + 16, size - 20)) return false;
 
   out->entries.clear();
   out->entries.reserve(count);

@@ -55,7 +55,7 @@ ClusterController::ClusterController(Broker& broker, ClusterNodeConfig config)
     : broker_(broker),
       config_(std::move(config)),
       generation_(WallGeneration()),
-      ring_(PeerNames(config_.members), config_.vnodes),
+      ring_(PeerNames(config_.members)),
       membership_(config_.self, generation_, MembersFromPeers(config_.members),
                   cluster::MembershipConfig{config_.suspect_after,
                                             config_.dead_after}) {

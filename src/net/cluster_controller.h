@@ -77,7 +77,6 @@ struct ClusterNodeConfig {
   // Replicas (counting the primary) that must hold a run before it is
   // acked. 1 = primary-only (async replication).
   std::uint32_t write_quorum = 2;
-  std::uint32_t vnodes = 64;
   TimeNs heartbeat_interval = Millis(100);
   // Silence thresholds; must exceed peer_timeout so one in-flight
   // replicate round-trip on the peer's loop thread cannot by itself make

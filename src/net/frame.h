@@ -1,8 +1,8 @@
 // Wire framing for Apollo's network fabric.
 //
 // Every message on a fabric connection is one length-prefixed, CRC32C-
-// checksummed frame (all integers little-endian, same byte conventions as
-// pubsub/wal_format):
+// checksummed frame (all integers little-endian; CRC32C and the byte
+// helpers come from common/codec.h, shared with the WAL and cold tier):
 //
 //   offset  field
 //   0       u32 magic       "APLO" (0x4F4C5041)
@@ -21,11 +21,14 @@
 // versions, oversized lengths, and CRC mismatches.
 #pragma once
 
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
+
+#include "common/codec.h"
 
 namespace apollo::net {
 
@@ -134,12 +137,18 @@ class WireWriter {
   explicit WireWriter(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void U8(std::uint8_t v) { out_.push_back(v); }
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
+  void U16(std::uint16_t v) {
+    out_.resize(out_.size() + 2);
+    PutU16(out_.data() + out_.size() - 2, v);
+  }
+  void U32(std::uint32_t v) { PutU32(out_, v); }
+  void U64(std::uint64_t v) { PutU64(out_, v); }
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v);
-  void Str(const std::string& s);
+  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
+  void Str(const std::string& s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
 
  private:
   std::vector<std::uint8_t>& out_;
@@ -154,21 +163,36 @@ class WireReader {
   explicit WireReader(const std::vector<std::uint8_t>& payload)
       : WireReader(payload.data(), payload.size()) {}
 
-  std::uint8_t U8();
-  std::uint16_t U16();
-  std::uint32_t U32();
-  std::uint64_t U64();
+  std::uint8_t U8() { return Need(1) ? *Take(1) : 0; }
+  std::uint16_t U16() { return Need(2) ? GetU16(Take(2)) : 0; }
+  std::uint32_t U32() { return Need(4) ? GetU32(Take(4)) : 0; }
+  std::uint64_t U64() { return Need(8) ? GetU64(Take(8)) : 0; }
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  double F64();
-  std::string Str();
+  double F64() { return std::bit_cast<double>(U64()); }
+  std::string Str() {
+    const std::uint32_t len = U32();
+    if (!Need(len)) return std::string();
+    return std::string(reinterpret_cast<const char*>(Take(len)), len);
+  }
 
   bool ok() const { return ok_; }
+  // Latches ok()=false: a decoder found a value it does not accept.
+  void Fail() { ok_ = false; }
+  std::size_t Remaining() const { return size_ - pos_; }
   // True when the payload was consumed exactly (decoders use ok() &&
   // AtEnd() to reject trailing garbage).
   bool AtEnd() const { return pos_ == size_; }
 
  private:
-  bool Need(std::size_t n);
+  bool Need(std::size_t n) {
+    if (!ok_ || size_ - pos_ < n) ok_ = false;
+    return ok_;
+  }
+  const std::uint8_t* Take(std::size_t n) {
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -1,9 +1,19 @@
 // Typed messages carried in wire frames (see net/frame.h for the framing).
 //
-// Every message has Encode(payload_out) and a static Decode(payload) that
-// returns false on malformed input (short payload, trailing garbage).
-// Encodings are versioned by the frame header's protocol version; fields
-// are appended LE with u32-length-prefixed strings (WireWriter/WireReader).
+// Each message states its byte layout once: `Fields(io)` names its fields
+// in wire order, and both Encode and Decode walk that one list
+// (messages.cc). Integers are fixed-width little-endian; strings and lists
+// carry a u32 count; bools are one byte, 0 or 1; enums travel as the
+// integer width named in the list and are range-checked. Types owned by
+// other modules (Sample, entries, result sets, topic infos, cluster maps)
+// get free `Fields(io, value)` lists below, shared by every message that
+// carries them.
+//
+// Decode is strict: it rejects a short payload, trailing bytes, a list
+// over 256 Ki entries, an out-of-range enum or bool, and a message whose
+// Valid() check fails, so every accepted payload re-encodes byte for byte.
+// A layout change is one line in a Fields list and bumps kProtocolVersion;
+// there are no tolerant trailing fields.
 #pragma once
 
 #include <cstdint>
@@ -20,41 +30,121 @@ namespace apollo::net {
 
 using Payload = std::vector<std::uint8_t>;
 
-struct HelloMsg {
-  std::uint32_t protocol_version = kProtocolVersion;
-  std::string client_name;
-  // Admission-control identity. Appended after the original fields and
-  // decoded tolerantly (absent on old clients -> empty -> the daemon's
-  // default tenant), so v1 handshakes stay wire-compatible.
-  std::string tenant;
-
+// Encode and Decode of message type Msg, both driven by Msg::Fields.
+template <typename Msg>
+struct WireMessage {
+  // Appends the encoded payload to `out`.
   void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, HelloMsg& msg);
+  // Returns false on malformed input (see the file comment).
+  static bool Decode(const Payload& in, Msg& msg);
 };
 
-struct HelloAckMsg {
+// --- field-list building blocks ---
+
+// `field` travels as integer type W. Decode rejects an enum value above
+// `max`, or an integer outside the field's own type.
+template <typename W, typename T>
+struct WireAs {
+  using Wire = W;
+  T& field;
+  T max;
+};
+template <typename W, typename T>
+WireAs<W, T> As(T& field, T max = T{}) {
+  return {field, max};
+}
+
+// A list whose elements use the layout `each(io, element)` instead of the
+// element type's own Fields.
+template <typename T, typename Each>
+struct WireList {
+  std::vector<T>& items;
+  Each each;
+};
+template <typename T, typename Each>
+WireList<T, Each> ListOf(std::vector<T>& items, Each each) {
+  return {items, each};
+}
+
+// --- shared shapes ---
+
+template <typename Io>
+void Fields(Io& io, Sample& s) {
+  io(s.timestamp, s.value,
+     As<std::uint8_t>(s.provenance, Provenance::kPredicted));
+}
+
+// An entry with its id (deliveries, windows, replication, resync).
+template <typename Io>
+void Fields(Io& io, TelemetryStream::Entry& e) {
+  io(e.id, e.timestamp, e.value);
+}
+
+// A batch entry: no id, the broker assigns ids on append.
+struct BatchEntryFields {
+  template <typename Io>
+  void operator()(Io& io, TelemetryStream::Entry& e) const {
+    io(e.timestamp, e.value);
+  }
+};
+
+template <typename Io>
+void Fields(Io& io, aqe::ResultRow& row) {
+  io(row.source, row.degraded, row.staleness_ns, row.values);
+}
+
+template <typename Io>
+void Fields(Io& io, aqe::ResultSet& result) {
+  io(result.degraded, result.max_staleness_ns, result.columns, result.rows);
+}
+
+template <typename Io>
+void Fields(Io& io, TopicInfo& info) {
+  io(info.name, As<std::int64_t>(info.home_node));
+}
+
+template <typename Io>
+void Fields(Io& io, cluster::Member& m) {
+  io(m.name, m.host, m.port, m.generation,
+     As<std::uint8_t>(m.state, cluster::MemberState::kDead));
+}
+
+template <typename Io>
+void Fields(Io& io, cluster::ClusterMap& map) {
+  io(map.version, map.replication_factor, map.write_quorum, map.members);
+}
+
+// --- messages ---
+
+struct HelloMsg : WireMessage<HelloMsg> {
+  std::uint32_t protocol_version = kProtocolVersion;
+  std::string client_name;
+  // Admission-control identity; empty selects the daemon's default tenant.
+  std::string tenant;
+  template <typename Io>
+  void Fields(Io& io) { io(protocol_version, client_name, tenant); }
+};
+
+struct HelloAckMsg : WireMessage<HelloAckMsg> {
   std::uint32_t protocol_version = kProtocolVersion;
   std::string server_name;
   std::uint64_t topic_count = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, HelloAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(protocol_version, server_name, topic_count); }
 };
 
-struct PublishMsg {
+struct PublishMsg : WireMessage<PublishMsg> {
   std::string topic;
   TimeNs timestamp = 0;
   Sample sample;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(topic, timestamp, sample); }
 };
 
-struct PublishAckMsg {
+struct PublishAckMsg : WireMessage<PublishAckMsg> {
   std::uint64_t entry_id = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(entry_id); }
 };
 
 // Upper bound on samples in one kPublishBatch frame. 25 wire bytes per
@@ -67,29 +157,39 @@ inline constexpr std::uint32_t kMaxBatchSamples = 64 * 1024;
 // its stream lock — once per run instead of once per sample. The frame
 // header's CRC32C covers the whole batch; there is no per-sample checksum.
 // Entry ids are not carried (the broker assigns them on append).
-struct PublishBatchMsg {
+struct PublishBatchMsg : WireMessage<PublishBatchMsg> {
   struct Run {
     std::string topic;
     std::vector<TelemetryStream::Entry> entries;  // id fields ignored
+    template <typename Io>
+    void Fields(Io& io) { io(topic, ListOf(entries, BatchEntryFields{})); }
   };
   std::vector<Run> runs;
+  template <typename Io>
+  void Fields(Io& io) { io(runs); }
 
   std::size_t SampleCount() const;
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishBatchMsg& msg);
+  // At least one run, no empty run, at most kMaxBatchSamples in total. The
+  // client never sends anything else, so it can only come from corruption.
+  bool Valid() const;
 };
 
 // Cumulative ack: one reply for the whole batch. Bit i of `error_bits`
 // (LSB-first within each byte, indexing samples in batch order across runs)
 // set means sample i failed; `first_error` describes the first failure so
 // the client can surface a meaningful Error per rejected sample.
-struct PublishBatchAckMsg {
+struct PublishBatchAckMsg : WireMessage<PublishBatchAckMsg> {
   std::uint32_t count = 0;          // samples covered by this ack
   std::uint64_t last_entry_id = 0;  // id of the last accepted sample
   std::uint32_t error_count = 0;
   std::vector<std::uint8_t> error_bits;  // ceil(count / 8) bytes
   ErrorCode first_error_code = ErrorCode::kInternal;
   std::string first_error;
+  template <typename Io>
+  void Fields(Io& io) {
+    io(count, last_entry_id, error_count, error_bits,
+       As<std::uint16_t>(first_error_code, ErrorCode::kIoError), first_error);
+  }
 
   void Resize(std::uint32_t n) {
     count = n;
@@ -102,9 +202,9 @@ struct PublishBatchAckMsg {
   bool Failed(std::uint32_t i) const {
     return (error_bits[i / 8] >> (i % 8)) & 1u;
   }
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, PublishBatchAckMsg& msg);
+  // error_count <= count <= kMaxBatchSamples, and a ceil(count / 8)-byte
+  // bitmap.
+  bool Valid() const;
 };
 
 // Shared-memory ingest lane offer: the client has created and initialized a
@@ -112,98 +212,87 @@ struct PublishBatchAckMsg {
 // daemon to attach as its consumer. Slot topic ids are indices into
 // `topics`. A refusal (or any decode/attach failure) is the fallback
 // handshake: the client keeps publishing over TCP batches.
-struct ShmAttachMsg {
+struct ShmAttachMsg : WireMessage<ShmAttachMsg> {
   std::string segment_name;      // POSIX shm name ("/apollo-shm-…")
   std::uint32_t slot_count = 0;  // ring capacity; must be a power of two
   std::vector<std::string> topics;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ShmAttachMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(segment_name, slot_count, topics); }
 };
 
-struct ShmAttachAckMsg {
+struct ShmAttachAckMsg : WireMessage<ShmAttachAckMsg> {
   bool accepted = false;
   std::string message;  // refusal reason
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ShmAttachAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(accepted, message); }
 };
 
 // cursor == kCursorTail starts the subscription at the stream's next id
 // (only future entries are delivered).
 inline constexpr std::uint64_t kCursorTail = UINT64_MAX;
 
-struct SubscribeMsg {
+struct SubscribeMsg : WireMessage<SubscribeMsg> {
   std::string topic;
   std::uint64_t cursor = kCursorTail;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, SubscribeMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(topic, cursor); }
 };
 
-struct SubscribeAckMsg {
+struct SubscribeAckMsg : WireMessage<SubscribeAckMsg> {
   std::uint64_t subscription_id = 0;
   std::uint64_t start_cursor = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, SubscribeAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(subscription_id, start_cursor); }
 };
 
-struct DeliverMsg {
+struct DeliverMsg : WireMessage<DeliverMsg> {
   std::uint64_t subscription_id = 0;
   std::string topic;
   std::vector<TelemetryStream::Entry> entries;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, DeliverMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(subscription_id, topic, entries); }
 };
 
-struct FetchWindowMsg {
+struct FetchWindowMsg : WireMessage<FetchWindowMsg> {
   std::string topic;
   std::uint64_t cursor = 0;
   std::uint64_t max_entries = UINT64_MAX;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, FetchWindowMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(topic, cursor, max_entries); }
 };
 
-struct WindowMsg {
+struct WindowMsg : WireMessage<WindowMsg> {
   std::uint64_t next_cursor = 0;
   std::vector<TelemetryStream::Entry> entries;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, WindowMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(next_cursor, entries); }
 };
 
-struct QueryMsg {
+struct QueryMsg : WireMessage<QueryMsg> {
   std::string sql;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, QueryMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(sql); }
 };
 
-struct ResultMsg {
+struct ResultMsg : WireMessage<ResultMsg> {
   aqe::ResultSet result;
   // Tables this daemon actually executed (partial queries skip branches
   // whose topics live elsewhere; the scatter-gather merge checks coverage).
   std::vector<std::string> served_tables;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ResultMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(result, served_tables); }
 };
 
-struct TopicListMsg {
+struct TopicListMsg : WireMessage<TopicListMsg> {
   std::vector<TopicInfo> topics;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, TopicListMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(topics); }
 };
 
-struct MetricsTextMsg {
+struct MetricsTextMsg : WireMessage<MetricsTextMsg> {
   std::string text;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, MetricsTextMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(text); }
 };
 
 // --- cluster fabric messages (heartbeat, map, replicate, resync) ---
@@ -212,33 +301,30 @@ struct MetricsTextMsg {
 // learns about the prober passively (an inbound heartbeat is as good an
 // aliveness proof as an ack), which is what lets a rejoining node
 // reappear in its peers' maps within one probe interval.
-struct HeartbeatMsg {
+struct HeartbeatMsg : WireMessage<HeartbeatMsg> {
   std::string sender;
   std::uint64_t generation = 0;  // sender's process-start stamp
   std::uint8_t state = 0;        // cluster::MemberState of the sender
   std::uint64_t map_version = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, HeartbeatMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(sender, generation, state, map_version); }
 };
 
-struct HeartbeatAckMsg {
+struct HeartbeatAckMsg : WireMessage<HeartbeatAckMsg> {
   std::string sender;
   std::uint64_t generation = 0;
   std::uint8_t state = 0;
   std::uint64_t map_version = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, HeartbeatAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(sender, generation, state, map_version); }
 };
 
 // Reply to kGetClusterMap and the push on membership change
 // (request_id 0). Clients keep the highest version seen per source node.
-struct ClusterMapMsg {
+struct ClusterMapMsg : WireMessage<ClusterMapMsg> {
   cluster::ClusterMap map;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ClusterMapMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(map); }
 };
 
 // Primary -> secondary mirror of one publish run. `expected_base` is the
@@ -246,17 +332,16 @@ struct ClusterMapMsg {
 // entries only when its own NextId matches, so both streams assign the
 // same ids and a divergent replica is detected on the spot instead of
 // silently drifting.
-struct ReplicateMsg {
+struct ReplicateMsg : WireMessage<ReplicateMsg> {
   std::string origin;  // primary's node name
   std::string topic;
   std::uint64_t expected_base = 0;
   std::vector<TelemetryStream::Entry> entries;  // id fields ignored
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ReplicateMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(origin, topic, expected_base, entries); }
 };
 
-struct ReplicateAckMsg {
+struct ReplicateAckMsg : WireMessage<ReplicateAckMsg> {
   enum class Verdict : std::uint8_t {
     kApplied = 0,  // entries appended at expected_base
     kBehind = 1,   // replica's NextId < expected_base: it missed data and
@@ -269,31 +354,30 @@ struct ReplicateAckMsg {
   };
   Verdict verdict = Verdict::kRefused;
   std::uint64_t next_id = 0;  // replica's NextId after handling
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ReplicateAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) {
+    io(As<std::uint8_t>(verdict, Verdict::kRefused), next_id);
+  }
 };
 
 // WAL-tail catch-up: the joining node asks a peer replica for a topic's
 // entries from its own NextId forward, looping until it reaches the
 // peer's high water mark.
-struct ResyncPullMsg {
+struct ResyncPullMsg : WireMessage<ResyncPullMsg> {
   std::string topic;
   std::uint64_t from_id = 0;
   std::uint32_t max_entries = 4096;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ResyncPullMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(topic, from_id, max_entries); }
 };
 
-struct ResyncChunkMsg {
+struct ResyncChunkMsg : WireMessage<ResyncChunkMsg> {
   std::uint64_t high_water = 0;  // peer's NextId at reply time
   std::uint64_t first_id = 0;    // id of entries[0] (eviction may have
                                  // advanced past the requested from_id)
   std::vector<TelemetryStream::Entry> entries;  // ids preserved
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ResyncChunkMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(high_water, first_id, entries); }
 };
 
 // --- continuous-query messages (see src/cq) ---
@@ -304,60 +388,56 @@ struct ResyncChunkMsg {
 // and sequence number of the last kCQUpdate it received, and the daemon
 // either replays the missed updates from its ring (same epoch, no
 // duplicates) or bumps the epoch and restarts from a full snapshot.
-struct CQRegisterMsg {
+struct CQRegisterMsg : WireMessage<CQRegisterMsg> {
   std::string name;
   std::string sql;  // SUBSCRIBE SELECT ... [EVERY n unit]
   std::uint64_t resume_epoch = 0;
   std::uint64_t resume_seq = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, CQRegisterMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(name, sql, resume_epoch, resume_seq); }
 };
 
-struct CQRegisterAckMsg {
+struct CQRegisterAckMsg : WireMessage<CQRegisterAckMsg> {
   std::uint64_t cq_id = 0;
   std::uint64_t epoch = 0;
   // Last sequence number already delivered (resume) or 0 (snapshot
   // follows as seq 1).
   std::uint64_t seq = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, CQRegisterAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(cq_id, epoch, seq); }
 };
 
-struct CQCancelMsg {
+struct CQCancelMsg : WireMessage<CQCancelMsg> {
   std::uint64_t cq_id = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, CQCancelMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(cq_id); }
 };
 
-struct CQCancelAckMsg {
+struct CQCancelAckMsg : WireMessage<CQCancelAckMsg> {
   std::uint64_t cq_id = 0;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, CQCancelAckMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(cq_id); }
 };
 
 // Incremental result push (request_id 0). Carries the full materialized
 // row set of the CQ at (epoch, seq) — rows are per UNION branch, so the
 // set is small and self-describing; clients replace, not merge.
-struct CQUpdateMsg {
+struct CQUpdateMsg : WireMessage<CQUpdateMsg> {
   std::uint64_t cq_id = 0;
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;
   aqe::ResultSet result;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, CQUpdateMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) { io(cq_id, epoch, seq, result); }
 };
 
-struct ErrorMsg {
+struct ErrorMsg : WireMessage<ErrorMsg> {
   ErrorCode code = ErrorCode::kInternal;
   std::string message;
-
-  void Encode(Payload& out) const;
-  static bool Decode(const Payload& in, ErrorMsg& msg);
+  template <typename Io>
+  void Fields(Io& io) {
+    io(As<std::uint16_t>(code, ErrorCode::kIoError), message);
+  }
 
   Error ToError() const { return Error(code, message); }
 };

@@ -115,7 +115,7 @@ Expected<RemoteQueryEngine::Route> RemoteQueryEngine::PlanRoute(
   // daemons use), restricted to live members for primary selection.
   std::vector<std::string> member_names;
   for (const cluster::Member& m : map_->members) member_names.push_back(m.name);
-  const cluster::PlacementRing ring(member_names, options_.vnodes);
+  const cluster::PlacementRing ring(member_names);
   // Distinct tables -> ordered candidate replicas we can actually dial.
   for (const aqe::Select& sel : parsed->selects) {
     if (route.candidates.count(sel.table)) continue;

@@ -1,49 +1,8 @@
 #include "pubsub/wal_format.h"
 
-#include <array>
 #include <cstring>
 
 namespace apollo::wal {
-
-namespace {
-
-// Byte-at-a-time CRC32C table (poly 0x82F63B78, reflected).
-constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}();
-
-void PutU32(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>(v);
-  out[1] = static_cast<std::uint8_t>(v >> 8);
-  out[2] = static_cast<std::uint8_t>(v >> 16);
-  out[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t GetU32(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-}  // namespace
-
-std::uint32_t Crc32c(const void* data, std::size_t len, std::uint32_t seed) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kCrcTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
 
 void EncodeHeader(std::uint8_t* out, std::uint32_t payload_size) {
   PutU32(out, kMagic);

@@ -27,6 +27,8 @@
 #include <cstddef>
 #include <functional>
 
+#include "common/codec.h"
+
 namespace apollo::wal {
 
 inline constexpr std::uint32_t kMagic = 0x4C415741u;  // "AWAL"
@@ -36,10 +38,6 @@ inline constexpr std::size_t kFrameOverhead = 8;  // u32 length + u32 crc
 // Upper bound on a record payload: rejects absurd lengths produced by
 // corrupt length fields before they can drive a huge read.
 inline constexpr std::uint32_t kMaxRecordLen = 1u << 20;
-
-// CRC32C (Castagnoli). `seed` chains partial computations.
-std::uint32_t Crc32c(const void* data, std::size_t len,
-                     std::uint32_t seed = 0);
 
 // Writes a 16-byte segment header into `out` (at least kHeaderSize bytes).
 void EncodeHeader(std::uint8_t* out, std::uint32_t payload_size);

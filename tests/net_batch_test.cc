@@ -311,6 +311,22 @@ TEST_F(NetBatchLoopbackTest, UnknownTopicRunFailsOnlyItsSamples) {
   EXPECT_EQ((*broker_.GetTopic("b.mem"))->NextId(), 1u);
 }
 
+TEST_F(NetBatchLoopbackTest, PublishWithUnknownProvenanceIsRejected) {
+  // The client encodes whatever byte the enum holds; the daemon's strict
+  // decode must refuse provenance 2 before anything is appended.
+  ApolloClient client(ClientFor("strict"));
+  auto id = client.Publish("b.cpu", 1,
+                           MakeSample(1, 1.0, static_cast<Provenance>(2)));
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code(), ErrorCode::kParseError);
+  EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 0u);
+
+  // The connection stays usable for well-formed publishes.
+  auto ok = client.Publish("b.cpu", 2, MakeSample(2, 2.0));
+  ASSERT_TRUE(ok.ok()) << ok.status().message();
+  EXPECT_EQ((*broker_.GetTopic("b.cpu"))->NextId(), 1u);
+}
+
 TEST_F(NetBatchLoopbackTest, BatchDecodeFaultRejectsWholeBatch) {
   FaultInjector injector;
   injector.Arm({.site = FaultSite::kBatchDecode,

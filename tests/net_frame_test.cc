@@ -1,6 +1,8 @@
-// Wire-frame codec tests: roundtrips, split-across-reads reassembly, and a
+// Wire-frame codec tests: roundtrips, split-across-reads reassembly, a
 // table-driven damage sweep (mirrors wal_format_test.cc: every mutation of
-// a valid byte stream must be rejected, and a byte stream never resyncs).
+// a valid byte stream must be rejected, and a byte stream never resyncs),
+// and the golden bytes of every payload type with the strict-decode sweeps
+// (truncation, trailing bytes, out-of-range values) run over all of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include "aqe/executor.h"
 #include "net/frame.h"
 #include "net/messages.h"
+#include "net_golden.h"
 
 namespace apollo::net {
 namespace {
@@ -258,25 +261,91 @@ TEST(NetMessages, ResultRoundtripCarriesDegradedRollups) {
   EXPECT_EQ(decoded.served_tables, msg.served_tables);
 }
 
+std::string Hex(const Payload& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// Every payload type encodes its fixed golden value to the pinned bytes,
+// and decoding those bytes re-encodes them unchanged.
+TEST(NetMessages, GoldenWireBytes) {
+  const auto golden = golden::GoldenMessages();
+  ASSERT_EQ(golden.size(), 30u);
+  for (const golden::GoldenMessage& g : golden) {
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(Hex(g.payload), g.hex);
+    Payload reencoded;
+    ASSERT_TRUE(g.reencode(g.payload, reencoded));
+    EXPECT_EQ(reencoded, g.payload);
+  }
+}
+
 TEST(NetMessages, DecodeRejectsTrailingGarbage) {
-  PublishAckMsg msg;
-  msg.entry_id = 5;
-  Payload payload;
-  msg.Encode(payload);
-  payload.push_back(0xFF);
-  PublishAckMsg decoded;
-  EXPECT_FALSE(PublishAckMsg::Decode(payload, decoded));
+  for (const golden::GoldenMessage& g : golden::GoldenMessages()) {
+    SCOPED_TRACE(g.name);
+    Payload payload = g.payload;
+    payload.push_back(0xFF);
+    Payload reencoded;
+    EXPECT_FALSE(g.reencode(payload, reencoded));
+  }
 }
 
 TEST(NetMessages, DecodeRejectsTruncation) {
-  SubscribeMsg msg;
-  msg.topic = "topic";
-  msg.cursor = 12;
-  Payload payload;
-  msg.Encode(payload);
-  payload.pop_back();
-  SubscribeMsg decoded;
-  EXPECT_FALSE(SubscribeMsg::Decode(payload, decoded));
+  for (const golden::GoldenMessage& g : golden::GoldenMessages()) {
+    SCOPED_TRACE(g.name);
+    for (std::size_t len = 0; len < g.payload.size(); ++len) {
+      SCOPED_TRACE(len);
+      const Payload prefix(g.payload.data(), g.payload.data() + len);
+      Payload reencoded;
+      EXPECT_FALSE(g.reencode(prefix, reencoded));
+    }
+  }
+}
+
+// Strict decoding of outside input: a value the field list does not
+// accept is rejected instead of being cast, so no out-of-range enum or
+// non-canonical bool reaches the stream, the WAL or a reply.
+TEST(NetMessages, DecodeRejectsOutOfRangeValues) {
+  struct Case {
+    const char* message;
+    std::ptrdiff_t offset;  // negative: counted from the payload's end
+    std::uint8_t byte;
+  };
+  const Case kCases[] = {
+      {"publish", -1, 2},             // provenance above kPredicted
+      {"publish_batch", -1, 2},       // ... in a batch entry
+      {"deliver", -1, 2},             // ... in an entry list
+      {"shm_attach_ack", 0, 2},       // bool byte 2
+      {"result", 0, 2},               // ResultSet.degraded byte 2
+      {"result", 66, 2},              // ResultRow.degraded byte 2
+      {"error", 0, 11},               // ErrorCode above kIoError
+      {"publish_batch_ack", 12, 11},  // error_count above count
+      {"cluster_map", -1, 4},         // MemberState above kDead
+      {"replicate_ack", 0, 4},        // Verdict above kRefused
+      {"topic_list", -4, 1},          // home_node outside NodeId
+  };
+  const auto golden = golden::GoldenMessages();
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(std::string(c.message) + " @" + std::to_string(c.offset));
+    const golden::GoldenMessage* g = nullptr;
+    for (const auto& candidate : golden) {
+      if (std::string(candidate.name) == c.message) g = &candidate;
+    }
+    ASSERT_NE(g, nullptr);
+    Payload payload = g->payload;
+    const std::ptrdiff_t size = static_cast<std::ptrdiff_t>(payload.size());
+    const std::ptrdiff_t at = c.offset < 0 ? size + c.offset : c.offset;
+    ASSERT_LT(at, size);
+    ASSERT_NE(payload[static_cast<std::size_t>(at)], c.byte);
+    payload[static_cast<std::size_t>(at)] = c.byte;
+    Payload reencoded;
+    EXPECT_FALSE(g->reencode(payload, reencoded));
+  }
 }
 
 TEST(NetMessages, ErrorRoundtripPreservesCode) {
