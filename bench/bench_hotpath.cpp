@@ -650,7 +650,7 @@ CQFanoutPoint MeasureCQFanout(int clients) {
       ready.fetch_add(1, std::memory_order_acq_rel);
       auto& local_gaps = gaps[static_cast<std::size_t>(t)];
       // Sweep until the publisher stops, then once more to drain what the
-      // last pump tick pushed.
+      // last publish pushed.
       bool final_pass = false;
       while (!final_pass) {
         final_pass = stop.load(std::memory_order_acquire);
@@ -987,8 +987,10 @@ int main(int argc, char** argv) {
             Fmt("%+.1f%%", shed.overhead_pct) +
                 (shed.degraded_ok ? " (degraded ok)" : " (FLAG MISMATCH)")});
   std::printf(
-      "expected shape: push throughput grows with fan-out until the pump "
-      "tick saturates writing N frames; the shed path answers from the "
+      "expected shape: every publish pushes to all N subscribers on the "
+      "publish itself (no pump tick to wait for), so push throughput "
+      "grows with fan-out until the loop thread saturates writing N "
+      "frames per publish; the shed path answers from the "
       "last-known-good cache without touching the executor, so its RTT "
       "tracks the admitted path\n");
 

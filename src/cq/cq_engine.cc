@@ -7,8 +7,11 @@
 
 namespace apollo::cq {
 
-CQEngine::CQEngine(Broker& broker, CQOptions options)
-    : broker_(broker), options_(std::move(options)) {
+CQEngine::CQEngine(Broker& broker, CQOptions options,
+                   std::function<void()> on_dirty)
+    : broker_(broker),
+      options_(std::move(options)),
+      on_dirty_(std::move(on_dirty)) {
   if (options_.update_ring == 0) options_.update_ring = 1;
   auto& registry = obs::MetricsRegistry::Global();
   active_ = registry.GetGauge("apollo_cq_active",
@@ -86,8 +89,19 @@ void CQEngine::UnwatchTopics(const CQRecord& record) {
     if (it == watches_.end()) continue;
     auto& ids = it->second->cq_ids;
     ids.erase(std::remove(ids.begin(), ids.end(), record.id), ids.end());
-    if (ids.empty()) watches_.erase(it);
+    if (!ids.empty()) continue;
+    {
+      std::lock_guard<std::mutex> dirty_lock(dirty_mu_);
+      std::erase(dirty_watches_, it->second.get());
+    }
+    watches_.erase(it);
   }
+}
+
+void CQEngine::Queue(CQRecord& record) {
+  if (record.queued) return;
+  record.queued = true;
+  pending_.push_back(record.id);
 }
 
 Expected<CQEngine::Registration> CQEngine::Register(
@@ -124,6 +138,7 @@ Expected<CQEngine::Registration> CQEngine::Register(
     reg.cq_id = record.id;
     if (resumable) {
       record.delivered_seq = resume_seq;
+      Queue(record);
       resumed_total_.Inc();
       reg.epoch = record.epoch;
       reg.last_seq = resume_seq;
@@ -154,6 +169,7 @@ Expected<CQEngine::Registration> CQEngine::Register(
     epoch_bumps_total_.Inc();
     Materialize(record, Evaluate(record, now));
     record.dirty = false;
+    Queue(record);
     reg.epoch = record.epoch;
     reg.last_seq = 0;
     reg.resumed = false;
@@ -191,6 +207,7 @@ Expected<CQEngine::Registration> CQEngine::Register(
   // without waiting for a publish.
   Materialize(stored, Evaluate(stored, now));
   stored.dirty = false;
+  Queue(stored);
   registered_total_.Inc();
   active_.Set(static_cast<double>(records_.size()));
   return reg;
@@ -227,15 +244,26 @@ std::vector<std::uint64_t> CQEngine::DetachConn(std::uint64_t conn_id) {
 
 void CQEngine::OnPublish(const std::string& topic, std::size_t n) {
   (void)n;
-  std::shared_lock<std::shared_mutex> lock(watch_mu_);
-  auto it = watches_.find(topic);
-  if (it == watches_.end()) return;
-  it->second->dirty.store(true, std::memory_order_release);
+  {
+    std::shared_lock<std::shared_mutex> lock(watch_mu_);
+    auto it = watches_.find(topic);
+    if (it == watches_.end()) return;
+    TopicWatch* watch = it->second.get();
+    // Already dirty: the pump that clears the bit has yet to run (its
+    // acq_rel exchange makes this publish's append visible to it).
+    if (watch->dirty.exchange(true, std::memory_order_acq_rel)) return;
+    std::lock_guard<std::mutex> dirty_lock(dirty_mu_);
+    dirty_watches_.push_back(watch);
+  }
+  if (on_dirty_) on_dirty_();
 }
 
 void CQEngine::MarkAllDirty() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, record] : records_) record.dirty = true;
+  for (auto& [id, record] : records_) {
+    record.dirty = true;
+    Queue(record);
+  }
 }
 
 aqe::ResultSet CQEngine::Evaluate(CQRecord& record, TimeNs now) {
@@ -325,15 +353,22 @@ bool CQEngine::Materialize(CQRecord& record, aqe::ResultSet result) {
 
 std::size_t CQEngine::Pump(TimeNs now, AdmissionController* admission,
                            const EmitFn& emit) {
-  // Phase 1: drain publish-dirty topics into per-record dirty flags.
-  // Collected under watch_mu_ alone, applied under mu_ alone: Register /
-  // Cancel nest mu_ -> watch_mu_, so holding both here in the opposite
-  // order would be a lock-order inversion.
+  // Phase 1: drain the topics dirtied since the last pump into per-record
+  // dirty flags. Collected under watch_mu_ alone, applied under mu_
+  // alone: Register / Cancel nest mu_ -> watch_mu_, so holding both here
+  // in the opposite order would be a lock-order inversion.
   std::vector<std::uint64_t> dirty_ids;
   {
     std::shared_lock<std::shared_mutex> watch_lock(watch_mu_);
-    for (auto& [topic, watch] : watches_) {
-      if (!watch->dirty.exchange(false, std::memory_order_acq_rel)) continue;
+    std::vector<TopicWatch*> dirty_watches;
+    {
+      std::lock_guard<std::mutex> dirty_lock(dirty_mu_);
+      dirty_watches.swap(dirty_watches_);
+    }
+    for (TopicWatch* watch : dirty_watches) {
+      // Cleared before evaluation: a publish after this re-dirties the
+      // topic and schedules the next pump.
+      watch->dirty.exchange(false, std::memory_order_acq_rel);
       dirty_ids.insert(dirty_ids.end(), watch->cq_ids.begin(),
                        watch->cq_ids.end());
     }
@@ -342,13 +377,23 @@ std::size_t CQEngine::Pump(TimeNs now, AdmissionController* admission,
   std::lock_guard<std::mutex> lock(mu_);
   for (std::uint64_t id : dirty_ids) {
     auto it = records_.find(id);
-    if (it != records_.end()) it->second.dirty = true;
+    if (it == records_.end()) continue;
+    it->second.dirty = true;
+    Queue(it->second);
   }
+  // Everything this pump visits; records that still need a pump are
+  // queued again at the end.
+  std::vector<std::uint64_t> visit;
+  visit.swap(pending_);
 
   // Phase 2: order due evaluations by the tenants' weighted-fair virtual
   // time, then evaluate under admission.
   std::vector<std::pair<double, std::uint64_t>> due;
-  for (auto& [id, record] : records_) {
+  for (std::uint64_t id : visit) {
+    auto it = records_.find(id);
+    if (it == records_.end()) continue;
+    CQRecord& record = it->second;
+    record.queued = false;
     if (!record.dirty) continue;
     if (record.query.every_ns > 0 && record.last_eval != 0 &&
         now - record.last_eval < record.query.every_ns) {
@@ -361,9 +406,7 @@ std::size_t CQEngine::Pump(TimeNs now, AdmissionController* admission,
   std::sort(due.begin(), due.end());
 
   for (const auto& [tag, id] : due) {
-    auto it = records_.find(id);
-    if (it == records_.end()) continue;
-    CQRecord& record = it->second;
+    CQRecord& record = records_.at(id);
     if (admission != nullptr &&
         !admission->Admit(record.tenant, now, options_.eval_cost)) {
       // Over quota: evaluation deferred, dirty bit kept — the tenant's
@@ -379,24 +422,34 @@ std::size_t CQEngine::Pump(TimeNs now, AdmissionController* admission,
 
   // Phase 3: deliver undelivered updates for attached connections.
   std::size_t emitted = 0;
-  for (auto& [id, record] : records_) {
-    if (record.conn_id == 0 || record.delivered_seq >= record.seq) continue;
-    CQInfo info;
-    info.cq_id = record.id;
-    info.conn_id = record.conn_id;
-    info.tenant = record.tenant;
-    info.name = record.name;
-    TenantCounters& counters = CountersFor(record.tenant);
-    for (const CQUpdate& update : record.ring) {
-      if (update.seq <= record.delivered_seq) continue;
-      if (!emit(info, update)) break;  // backpressure: retry next pump
-      record.delivered_seq = update.seq;
-      counters.updates.Inc();
-      ++emitted;
+  for (std::uint64_t id : visit) {
+    auto it = records_.find(id);
+    if (it == records_.end()) continue;
+    CQRecord& record = it->second;
+    if (record.conn_id != 0 && record.delivered_seq < record.seq) {
+      CQInfo info;
+      info.cq_id = record.id;
+      info.conn_id = record.conn_id;
+      info.tenant = record.tenant;
+      info.name = record.name;
+      TenantCounters& counters = CountersFor(record.tenant);
+      for (const CQUpdate& update : record.ring) {
+        if (update.seq <= record.delivered_seq) continue;
+        if (!emit(info, update)) break;  // backpressure: retry next pump
+        record.delivered_seq = update.seq;
+        counters.updates.Inc();
+        ++emitted;
+      }
+      while (record.ring.size() > options_.update_ring &&
+             record.ring.front().seq <= record.delivered_seq) {
+        record.ring.pop_front();
+      }
     }
-    while (record.ring.size() > options_.update_ring &&
-           record.ring.front().seq <= record.delivered_seq) {
-      record.ring.pop_front();
+    // Throttled, EVERY-deferred and backpressured records wait for the
+    // next pump; a detached record's backlog is requeued by its resume.
+    if (record.dirty ||
+        (record.conn_id != 0 && record.delivered_seq < record.seq)) {
+      Queue(record);
     }
   }
   return emitted;

@@ -8,11 +8,11 @@
 // executor's "index" strategy serves in O(1)), takes an immediate
 // snapshot, and from then on re-derives the materialized rows only when
 // a publish lands on one of the query's topics: Broker::PublishObserver
-// flips a per-topic dirty bit (publisher thread, two atomics), and the
-// daemon's pump timer evaluates dirty queries on the loop thread by
-// reading Stream::Aggregates() through aqe::IndexAggregateCell — the
-// exact cells a one-shot query would compute, without parsing, planning,
-// or scanning anything.
+// flips a per-topic dirty bit (publisher thread, one atomic exchange), and
+// the daemon's pump, woken by that flip, evaluates dirty queries on the
+// loop thread by reading Stream::Aggregates() through
+// aqe::IndexAggregateCell — the exact cells a one-shot query would
+// compute, without parsing, planning, or scanning anything.
 //
 // Delivery protocol (epoch, seq):
 //   - registration starts epoch 1; the initial snapshot is seq 1 and
@@ -38,7 +38,14 @@
 // Threading: Register/Cancel/DetachConn/Pump run on the daemon loop
 // thread (a mutex still guards the records so tests and metrics can peek
 // from elsewhere). OnPublish is called from publisher threads and only
-// touches the shared-lock topic-watch map plus relaxed atomics.
+// touches the shared-lock topic-watch map and the topic's dirty bit; on
+// the clean -> dirty edge it also queues the topic and calls the
+// engine's `on_dirty` hook, which the daemon uses to post one coalesced
+// pump to its loop. So a push leaves on the publish that caused it, not
+// on a timer; the daemon's delivery_interval tick only retries what a
+// pump left pending (throttled, backpressured, EVERY-deferred). A pump
+// visits only the CQs of topics dirtied since the last pump plus the
+// CQs it left pending, never every registration.
 #pragma once
 
 #include <atomic>
@@ -91,7 +98,11 @@ struct CQInfo {
 
 class CQEngine : public PublishObserver {
  public:
-  CQEngine(Broker& broker, CQOptions options = {});
+  // `on_dirty` (optional) runs on the publishing thread each time a
+  // watched topic goes from clean to dirty; it must only schedule a Pump,
+  // not run one.
+  CQEngine(Broker& broker, CQOptions options = {},
+           std::function<void()> on_dirty = {});
 
   // Outcome of Register: resumed=true means delivery continues at
   // seq `last_seq`+1 within `epoch`; otherwise `epoch` is fresh (or
@@ -123,7 +134,8 @@ class CQEngine : public PublishObserver {
   // reconnect and resume. Returns the detached cq ids.
   std::vector<std::uint64_t> DetachConn(std::uint64_t conn_id);
 
-  // Broker publish hook — publisher threads; flips a dirty bit.
+  // Broker publish hook — publisher threads; flips a dirty bit and, on
+  // the clean -> dirty edge, calls `on_dirty`.
   void OnPublish(const std::string& topic, std::size_t n) override;
 
   // Returns false to signal backpressure: delivery for that CQ stops and
@@ -132,7 +144,8 @@ class CQEngine : public PublishObserver {
 
   // Evaluates dirty queries (weighted-fair order, admission-gated when
   // `admission` is non-null) and emits undelivered updates for attached
-  // connections. Loop thread. Returns the number of updates emitted.
+  // connections. Loop thread; never called concurrently with itself.
+  // Returns the number of updates emitted.
   std::size_t Pump(TimeNs now, AdmissionController* admission,
                    const EmitFn& emit);
 
@@ -166,6 +179,7 @@ class CQEngine : public PublishObserver {
     std::uint64_t delivered_seq = 0;  // last update the client holds
     TimeNs last_eval = 0;
     bool dirty = false;
+    bool queued = false;  // listed in pending_
     std::deque<CQUpdate> ring;  // retained updates, oldest first
     // Previous materialized values per branch row (change detection).
     std::vector<std::vector<double>> last_values;
@@ -192,20 +206,31 @@ class CQEngine : public PublishObserver {
   bool Materialize(CQRecord& record, aqe::ResultSet result);
   void WatchTopics(const CQRecord& record);
   void UnwatchTopics(const CQRecord& record);
+  // Lists the record for the next Pump (once); locked(mu_) caller.
+  void Queue(CQRecord& record);
   TenantCounters& CountersFor(const std::string& tenant);
   static Status Validate(const aqe::Query& query);
 
   Broker& broker_;
   CQOptions options_;
+  std::function<void()> on_dirty_;
 
-  mutable std::mutex mu_;  // records_, next_id_, tenant_counters_
+  mutable std::mutex mu_;  // records_, pending_, next_id_, tenant_counters_
   std::unordered_map<std::uint64_t, CQRecord> records_;
+  // Records the next Pump must visit besides those of dirty topics: still
+  // dirty (throttled, EVERY-deferred) or holding undelivered updates.
+  std::vector<std::uint64_t> pending_;
   std::unordered_map<std::string, TenantCounters> tenant_counters_;
   std::uint64_t next_id_ = 1;
 
   // Topic-name -> watch; OnPublish takes the shared lock only.
   mutable std::shared_mutex watch_mu_;
   std::unordered_map<std::string, std::unique_ptr<TopicWatch>> watches_;
+  // Watches whose dirty bit went up since the last Pump, each listed once
+  // (pushed on the clean -> dirty edge). Entries stay valid under the
+  // shared watch_mu_: UnwatchTopics removes a watch it erases.
+  std::mutex dirty_mu_;
+  std::vector<TopicWatch*> dirty_watches_;
 
   obs::Gauge active_;
   obs::Counter registered_total_;

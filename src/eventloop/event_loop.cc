@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <ctime>
 
 namespace apollo {
 
@@ -29,6 +30,26 @@ std::uint32_t FromEpollEvents(std::uint32_t events) {
   if (events & EPOLLOUT) out |= kFdWritable;
   if (events & (EPOLLERR | EPOLLHUP)) out |= kFdError;
   return out;
+}
+
+// Waits up to `wait_ns` with nanosecond precision. epoll_wait takes whole
+// milliseconds, and rounding the remaining wait up made every re-wait
+// after an fd event overshoot the next timer by up to 1 ms; it stays as
+// the fallback for kernels without epoll_pwait2 (pre-5.11).
+int EpollWaitNs(int epoll_fd, epoll_event* events, int max_events,
+                TimeNs wait_ns) {
+  static std::atomic<bool> no_pwait2{false};
+  if (!no_pwait2.load(std::memory_order_relaxed)) {
+    timespec timeout;
+    timeout.tv_sec = static_cast<time_t>(wait_ns / kNsPerSec);
+    timeout.tv_nsec = static_cast<long>(wait_ns % kNsPerSec);
+    const int n =
+        ::epoll_pwait2(epoll_fd, events, max_events, &timeout, nullptr);
+    if (n >= 0 || errno != ENOSYS) return n;
+    no_pwait2.store(true, std::memory_order_relaxed);
+  }
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>((wait_ns + kNsPerMs - 1) / kNsPerMs));
 }
 
 }  // namespace
@@ -63,7 +84,10 @@ void EventLoop::Post(Task task) {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(std::move(task));
   }
-  Wake();
+  if (run_thread_.load(std::memory_order_acquire) !=
+      std::this_thread::get_id()) {
+    Wake();
+  }
 }
 
 bool EventLoop::EnsureEpollLocked() {
@@ -130,8 +154,6 @@ void EventLoop::WaitAndDispatchFds(TimeNs deadline) {
   const TimeNs now = clock_.Now();
   const TimeNs wait_ns =
       std::min(std::max<TimeNs>(deadline - now, 0), kMaxSleepChunk);
-  const int timeout_ms =
-      static_cast<int>((wait_ns + kNsPerMs - 1) / kNsPerMs);
 
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
@@ -141,7 +163,7 @@ void EventLoop::WaitAndDispatchFds(TimeNs deadline) {
     if (epoll_fd_ < 0) return;
   }
   do {
-    n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    n = EpollWaitNs(epoll_fd_, events, kMaxEvents, wait_ns);
   } while (n < 0 && errno == EINTR);
 
   for (int i = 0; i < n; ++i) {
@@ -171,6 +193,7 @@ void EventLoop::WaitAndDispatchFds(TimeNs deadline) {
 }
 
 void EventLoop::Wake() {
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (wake_fd_ >= 0) {
     const std::uint64_t one = 1;
@@ -179,8 +202,16 @@ void EventLoop::Wake() {
 }
 
 void EventLoop::Run(TimeNs end_time, bool stop_when_idle) {
+  run_thread_.store(std::this_thread::get_id(), std::memory_order_release);
+  RunLoop(end_time, stop_when_idle);
+  run_thread_.store(std::thread::id(), std::memory_order_release);
+}
+
+void EventLoop::RunLoop(TimeNs end_time, bool stop_when_idle) {
   for (;;) {
-    // Drain posted tasks first.
+    // Drain posted tasks first. A Post after the clear writes the eventfd
+    // again, so no task is left behind by a coalesced wake.
+    wake_pending_.store(false, std::memory_order_release);
     std::vector<Task> pending;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -233,6 +264,9 @@ void EventLoop::Run(TimeNs end_time, bool stop_when_idle) {
     bool have_fds;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // A Post from the loop thread (a task, timer or fd callback) did not
+      // write the eventfd: run it before blocking.
+      if (!tasks_.empty()) continue;
       have_fds = !fds_.empty();
       if (heap_.empty()) {
         if (stop_when_idle && !have_fds) return;

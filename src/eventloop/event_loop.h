@@ -11,15 +11,18 @@
 //
 // File descriptors: AddFd() registers a non-blocking fd with an epoll
 // instance owned by the loop; while any fd is registered, the loop waits in
-// epoll_wait instead of sleeping, dispatching readiness callbacks between
-// timer firings. Fd watching is a real-time facility (epoll timeouts are
-// wall-clock), so it is not available on an auto-advancing SimClock loop —
-// the network fabric runs daemons on RealClock loops. Registrations carry a
-// generation token, so a callback that removes or closes any fd (including
-// its own) during a dispatch batch never causes a stale or misdirected
-// callback: pending events whose token no longer resolves are skipped.
+// epoll_pwait2 (nanosecond timeout, so a wait cut short by an fd event
+// re-waits exactly until the next timer) instead of sleeping, dispatching
+// readiness callbacks between timer firings. Fd watching is a real-time
+// facility (epoll timeouts are wall-clock), so it is not available on an
+// auto-advancing SimClock loop — the network fabric runs daemons on
+// RealClock loops. Registrations carry a generation token, so a callback
+// that removes or closes any fd (including its own) during a dispatch
+// batch never causes a stale or misdirected callback: pending events whose
+// token no longer resolves are skipped.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -27,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -67,8 +71,10 @@ class EventLoop {
   // Cancels a timer. Safe to call from inside a callback or another thread.
   void CancelTimer(TimerId id);
 
-  // Enqueues a task to run before the next timer dispatch. Wakes the loop
-  // if it is blocked in epoll_wait.
+  // Enqueues a task to run before the next timer dispatch. From the loop
+  // thread this only queues (Run drains tasks before it waits again);
+  // from another thread it also wakes a loop blocked in epoll, and wakes
+  // coalesce while one is already pending.
   void Post(Task task);
 
   // --- fd watching (real-time loops) ---
@@ -135,11 +141,14 @@ class EventLoop {
   // mu_. Returns false if the kernel refuses (loop then has no fd support).
   bool EnsureEpollLocked();
 
-  // Blocks in epoll_wait until `deadline` (bounded by the stop-poll chunk),
+  // Blocks in epoll until `deadline` (bounded by the stop-poll chunk),
   // then dispatches ready fd callbacks. Returns after one wait+dispatch
   // round.
   void WaitAndDispatchFds(TimeNs deadline);
 
+  void RunLoop(TimeNs end_time, bool stop_when_idle);
+
+  // Writes the wakeup eventfd unless a wake is already pending.
   void Wake();
 
   Clock& clock_;
@@ -163,6 +172,13 @@ class EventLoop {
   std::uint64_t next_token_ = 1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+
+  // Thread inside Run() (default id when not running): Post from it skips
+  // the eventfd write.
+  std::atomic<std::thread::id> run_thread_{};
+  // Set by the Wake that writes the eventfd; cleared by Run just before
+  // it drains tasks, so one write serves every Post in between.
+  std::atomic<bool> wake_pending_{false};
 };
 
 }  // namespace apollo

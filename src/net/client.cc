@@ -651,6 +651,14 @@ Expected<CQRegisterAckMsg> ApolloClient::CQRegisterInternal(
   session->cq_id = ack->cq_id;
   session->epoch = ack->epoch;
   session->seq = ack->seq;
+  // The daemon pushes the snapshot (or the resumed backlog) right behind
+  // the ack, so the read that carried the ack may already have buffered
+  // some of it; a later resume must start past those too.
+  for (const CQUpdateMsg& update : cq_updates_) {
+    if (update.cq_id == ack->cq_id && update.epoch == ack->epoch) {
+      session->seq = std::max(session->seq, update.seq);
+    }
+  }
   return ack;
 }
 

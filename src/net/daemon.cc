@@ -20,7 +20,7 @@ ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
       config_(std::move(config)),
       loop_(RealClock::Instance()),
       server_(loop_, config_.server, *this),
-      cq_engine_(broker, config_.cq),
+      cq_engine_(broker, config_.cq, [this] { WakeCQPump(); }),
       admission_(config_.admission) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   batch_publishes_ = reg.GetCounter("apollo_net_batch_publishes_total",
@@ -50,7 +50,8 @@ ApolloDaemon::ApolloDaemon(Broker& broker, aqe::Executor& executor,
         std::make_unique<ClusterController>(broker_, config_.cluster);
   }
   // Publish-path hook: every append (wire, shm lane, in-process vertex)
-  // flips the CQ engine's per-topic dirty bit.
+  // flips the CQ engine's per-topic dirty bit; the clean -> dirty edge
+  // wakes the CQ pump.
   broker_.AttachPublishObserver(&cq_engine_);
 }
 
@@ -612,6 +613,8 @@ void ApolloDaemon::HandleCQRegister(Connection& conn, const Frame& frame) {
   ack.epoch = reg->epoch;
   ack.seq = reg->last_seq;
   SendMsg(conn, MsgType::kCQRegisterAck, frame.request_id, ack);
+  // The snapshot (or a resumed backlog) follows the ack on the next pump.
+  WakeCQPump();
 }
 
 void ApolloDaemon::HandleCQCancel(Connection& conn, const Frame& frame) {
@@ -751,13 +754,31 @@ void ApolloDaemon::PumpSubscriptions() {
   PumpCQ();
 }
 
+void ApolloDaemon::WakeCQPump() {
+  if (cq_pump_posted_.exchange(true, std::memory_order_acq_rel)) return;
+  // Posted from the loop thread (a wire publish or register), the pump
+  // runs once the current frames' replies are written.
+  loop_.Post([this] {
+    // Cleared before the pump drains dirty topics, so a publish that
+    // lands after the drain posts the next pump.
+    cq_pump_posted_.store(false, std::memory_order_release);
+    PumpCQ();
+  });
+}
+
 void ApolloDaemon::PumpCQ() {
   const TimeNs now = RealClock::Instance().Now();
+  cq_corked_.clear();
   cq_engine_.Pump(
       now, &admission_,
       [this](const cq::CQInfo& info, const cq::CQUpdate& update) {
         Connection* conn = server_.FindConnection(info.conn_id);
         if (conn == nullptr) return false;
+        if (std::find(cq_corked_.begin(), cq_corked_.end(), info.conn_id) ==
+            cq_corked_.end()) {
+          conn->Cork();
+          cq_corked_.push_back(info.conn_id);
+        }
         CQUpdateMsg msg;
         msg.cq_id = info.cq_id;
         msg.epoch = update.epoch;
@@ -768,6 +789,11 @@ void ApolloDaemon::PumpCQ() {
         return SendMsg(*conn, MsgType::kCQUpdate, /*request_id=*/0, msg,
                        /*droppable=*/true);
       });
+  // Uncorked after the engine lock is released: each connection's
+  // updates leave in one writev.
+  for (const std::uint64_t conn_id : cq_corked_) {
+    if (Connection* conn = server_.FindConnection(conn_id)) conn->Uncork();
+  }
 }
 
 void ApolloDaemon::DrainShmLanes() {

@@ -12,10 +12,17 @@
 //                    A refused attach (kShmAttach fault, bad geometry)
 //                    acks accepted=false and the client stays on TCP
 //   kFetchWindow  -> Broker::Fetch (cursor window reads)
-//   kSubscribe    -> pushed kDeliver frames from a periodic pump timer;
-//                    backpressured deliveries do not advance the cursor,
-//                    so a slow subscriber loses nothing while the entries
-//                    stay in the stream window
+//   kSubscribe    -> pushed kDeliver frames from the delivery_interval
+//                    pump tick; backpressured deliveries do not advance
+//                    the cursor, so a slow subscriber loses nothing while
+//                    the entries stay in the stream window
+//   kCQRegister   -> cq::CQEngine. kCQUpdate pushes leave on the publish
+//                    that dirties a watched topic (and right after the
+//                    register ack for the snapshot): the CQ pump runs on
+//                    the loop once that frame's reply is written, or on
+//                    one coalesced wake for a publish from another
+//                    thread. The tick only retries throttled,
+//                    backpressured and EVERY-deferred CQs
 //   kQuery        -> aqe::Executor. EXPLAIN [ANALYZE] works unchanged. A
 //                    kFlagPartial query executes only the UNION branches
 //                    whose topics this daemon serves and reports them in
@@ -24,6 +31,7 @@
 //   kMetrics      -> MetricsRegistry::Global().RenderPrometheus() scrape
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,7 +61,10 @@ namespace apollo::net {
 
 struct DaemonConfig {
   ServerConfig server;
-  // Subscription pump period: how often new stream entries are pushed.
+  // Pump tick period. The tick pushes new stream entries to kSubscribe
+  // subscribers, drains shm lanes, and retries the CQs the last pump left
+  // pending (throttled, backpressured, EVERY-deferred). It does not pace
+  // CQ pushes: those leave on the publish that dirties a watched topic.
   TimeNs delivery_interval = 2 * kNsPerMs;
   // Max entries per kDeliver frame.
   std::size_t delivery_batch = 512;
@@ -156,7 +167,12 @@ class ApolloDaemon final : public FrameHandler {
   void RouteLoop();
 
   void PumpSubscriptions();
+  // Loop thread: evaluates and pushes CQ updates, each subscriber
+  // connection corked so its updates leave in one writev.
   void PumpCQ();
+  // Any thread: schedules one PumpCQ on the loop unless one is already
+  // scheduled (the CQ engine's clean -> dirty hook).
+  void WakeCQPump();
   void DrainShmLanes();
   // Tenant bound to a connection at hello time ("default" before/without
   // one).
@@ -193,6 +209,7 @@ class ApolloDaemon final : public FrameHandler {
   // publishes.
   cq::CQEngine cq_engine_;
   cq::AdmissionController admission_;
+  std::atomic<bool> cq_pump_posted_{false};
 
   // Loop-thread state.
   std::uint64_t next_sub_id_ = 1;
@@ -210,6 +227,8 @@ class ApolloDaemon final : public FrameHandler {
   // close): the Server exposes no iteration, and map pushes must reach
   // every client, not just subscribers.
   std::set<std::uint64_t> conns_;
+  // Connections corked by the running PumpCQ.
+  std::vector<std::uint64_t> cq_corked_;
   TimerId pump_timer_ = 0;
 
   // Batch and shm-lane ingest counters, resolved at construction.

@@ -88,8 +88,9 @@ class Connection {
 
   // Cork/uncork: while corked, SendFrame only queues — the flush (one
   // writev over every queued frame) happens at Uncork. The daemon corks
-  // around multi-frame work (subscription pumps, batch acks) so a burst
-  // drains in one syscall instead of one write per frame.
+  // around multi-frame work (the kDeliver subscription pump, the CQ pump
+  // that pushes kCQUpdate frames) so a burst drains in one syscall
+  // instead of one write per frame.
   void Cork() { ++cork_depth_; }
   void Uncork();
 

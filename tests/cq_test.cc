@@ -14,7 +14,10 @@
 //     to degraded cached answers (never errors) with exact per-tenant
 //     accounting, while another tenant's CQ pushes keep flowing inside a
 //     bounded latency even with scripted kNetSend faults dropping push
-//     frames.
+//     frames;
+//   - push on publish: with the daemon's pump tick set to an hour, the
+//     registration snapshot and the pushes after wire and in-process
+//     publishes still arrive, while a throttled CQ waits for the tick.
 //
 // Every suite name starts with "CQ" so the tsan name-filtered CI leg picks
 // the file up. Daemons bind port 0; waits are bounded deadline loops.
@@ -324,6 +327,37 @@ TEST_F(CQEngineTest, ThrottledEvaluationStaysDirtyAndRetries) {
                });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_DOUBLE_EQ(got[0].second.result.rows[0].values[0], 2.0);
+}
+
+TEST_F(CQEngineTest, EveryDeferredCQStaysPendingUntilItsInterval) {
+  Publish(1.0);
+  const TimeNs t0 = clock_.Now();
+  ASSERT_TRUE(engine_
+                  .Register(1, "default", "q",
+                            "SUBSCRIBE SELECT LAST(Metric) FROM cq.unit "
+                            "EVERY 100 ms",
+                            0, 0, t0)
+                  .ok());
+  std::vector<std::pair<cq::CQInfo, cq::CQUpdate>> got;
+  auto pump_at = [&](TimeNs now) {
+    return engine_.Pump(now, &admission_,
+                        [&](const cq::CQInfo& info, const cq::CQUpdate& u) {
+                          got.emplace_back(info, u);
+                          return true;
+                        });
+  };
+  ASSERT_EQ(pump_at(t0), 1u);  // snapshot
+  Publish(2.0);
+  ASSERT_EQ(pump_at(t0 + Millis(1)), 1u);  // first evaluation is due
+  // A publish inside the interval is deferred, not dropped: no later
+  // publish arrives, yet the pump that reaches the interval's end
+  // evaluates it.
+  Publish(3.0);
+  EXPECT_EQ(pump_at(t0 + Millis(2)), 0u);
+  EXPECT_EQ(pump_at(t0 + Millis(60)), 0u);
+  ASSERT_EQ(pump_at(t0 + Millis(102)), 1u);
+  EXPECT_EQ(got.back().second.seq, 3u);
+  EXPECT_DOUBLE_EQ(got.back().second.result.rows[0].values[0], 3.0);
 }
 
 // ---- loopback integration -------------------------------------------------
@@ -651,6 +685,140 @@ TEST_F(CQLoopbackTest, CQChaosTenantOverloadShedsDegradedOthersKeepFlowing) {
   }
   EXPECT_TRUE(found_admission_row);
   daemon_->server().AttachFaultInjector(nullptr);
+}
+
+// ---- push on publish -------------------------------------------------------
+
+// The daemon's pump tick is an hour: every push below must leave on the
+// publish (or registration) that produced it, never on the timer.
+class CQPushOnPublishTest : public CQLoopbackTest {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(broker_.CreateTopic("cq.alpha", kLocalNode, 1024).ok());
+    Publish(1.0);
+    DaemonConfig config;
+    config.delivery_interval = 3600 * kNsPerSec;
+    StartDaemon(config);
+  }
+
+  static constexpr TimeNs kPushTimeout = 2 * kNsPerSec;
+
+  // Waits for the update of `cq_id` with `seq`.
+  bool WaitSeq(ApolloClient& client, std::vector<CQUpdateMsg>& sink,
+               std::uint64_t cq_id, std::uint64_t seq) {
+    return WaitUpdates(
+        client, sink,
+        [&](const CQUpdateMsg&) {
+          return std::any_of(sink.begin(), sink.end(),
+                             [&](const CQUpdateMsg& u) {
+                               return u.cq_id == cq_id && u.seq == seq;
+                             });
+        },
+        kPushTimeout);
+  }
+};
+
+TEST_F(CQPushOnPublishTest, SnapshotThenWirePublishPushWithoutTheTick) {
+  ApolloClient watcher(ClientFor("cq-push-watch"));
+  auto ack = watcher.CQRegister("w",
+                                "SUBSCRIBE SELECT LAST(Metric) FROM cq.alpha");
+  ASSERT_TRUE(ack.ok());
+  std::vector<CQUpdateMsg> updates;
+  ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 1))
+      << "registration snapshot was not pushed";
+  EXPECT_DOUBLE_EQ(updates.back().result.rows[0].values[0], 1.0);
+
+  ApolloClient publisher(ClientFor("cq-push-pub"));
+  const TimeNs now = clock_.Now();
+  ASSERT_TRUE(publisher.Publish("cq.alpha", now, MakeSample(now, 7.0)).ok());
+  ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 2))
+      << "wire publish did not push";
+  EXPECT_DOUBLE_EQ(updates.back().result.rows[0].values[0], 7.0);
+}
+
+TEST_F(CQPushOnPublishTest, InProcessPublishPushesWithoutTheTick) {
+  ApolloClient watcher(ClientFor("cq-push-local"));
+  auto ack = watcher.CQRegister("w",
+                                "SUBSCRIBE SELECT LAST(Metric) FROM cq.alpha");
+  ASSERT_TRUE(ack.ok());
+  std::vector<CQUpdateMsg> updates;
+  ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 1));
+  // Broker::Publish on this (non-loop) thread: the hook posts the pump.
+  for (int i = 0; i < 3; ++i) {
+    Publish(20.0 + i);
+    ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 2 + i))
+        << "in-process publish " << i << " did not push";
+    EXPECT_DOUBLE_EQ(updates.back().result.rows[0].values[0], 20.0 + i);
+  }
+}
+
+TEST_F(CQPushOnPublishTest, EightCQsOnOneConnectionGetContiguousSeqs) {
+  ApolloClient watcher(ClientFor("cq-push-eight"));
+  constexpr int kCQs = 8;
+  // Each of these moves when a larger value lands.
+  const char* kAggs[] = {"LAST", "AVG", "MAX", "SUM", "COUNT"};
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kCQs; ++i) {
+    auto ack = watcher.CQRegister(
+        "w" + std::to_string(i),
+        std::string("SUBSCRIBE SELECT ") + kAggs[i % 5] +
+            "(Metric) FROM cq.alpha");
+    ASSERT_TRUE(ack.ok());
+    ids.push_back(ack->cq_id);
+  }
+  std::vector<CQUpdateMsg> updates;
+  for (std::uint64_t id : ids) {
+    ASSERT_TRUE(WaitSeq(watcher, updates, id, 1)) << "no snapshot for " << id;
+  }
+  Publish(1000.0);
+  for (std::uint64_t id : ids) {
+    ASSERT_TRUE(WaitSeq(watcher, updates, id, 2)) << "no push for " << id;
+  }
+  // Per CQ: exactly seq 1 then seq 2, one epoch, no duplicate or hole.
+  for (std::uint64_t id : ids) {
+    std::vector<std::uint64_t> seqs;
+    for (const CQUpdateMsg& u : updates) {
+      if (u.cq_id != id) continue;
+      EXPECT_EQ(u.epoch, 1u);
+      seqs.push_back(u.seq);
+    }
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2})) << "cq " << id;
+  }
+}
+
+TEST_F(CQPushOnPublishTest, ThrottledCQIsRetriedByTheTick) {
+  DaemonConfig config;
+  config.delivery_interval = 5 * kNsPerMs;
+  cq::TenantQuota quota;
+  quota.rate_per_sec = 4.0;  // one evaluation per 250 ms
+  quota.burst = 1.0;
+  config.admission.tenant_quotas["capped"] = quota;
+  StartDaemon(config);
+
+  ApolloClient watcher(ClientFor("cq-push-capped", "capped"));
+  auto ack = watcher.CQRegister("w",
+                                "SUBSCRIBE SELECT LAST(Metric) FROM cq.alpha");
+  ASSERT_TRUE(ack.ok());
+  std::vector<CQUpdateMsg> updates;
+  ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 1));
+  const std::uint64_t throttled_before =
+      CounterValue("apollo_cq_throttled_total", {{"tenant", "capped"}});
+  // Two publishes back to back: the first spends the bucket's one token;
+  // the second one's evaluation is throttled, and no publish follows to
+  // wake a pump. Only the tick's retry can deliver it.
+  Publish(30.0);
+  ASSERT_TRUE(WaitSeq(watcher, updates, ack->cq_id, 2));
+  Publish(31.0);
+  ASSERT_TRUE(WaitUpdates(
+      watcher, updates,
+      [](const CQUpdateMsg& u) {
+        return !u.result.rows.empty() && u.result.rows[0].values[0] == 31.0;
+      },
+      kPushTimeout))
+      << "throttled CQ was never retried";
+  EXPECT_GT(CounterValue("apollo_cq_throttled_total", {{"tenant", "capped"}}),
+            throttled_before);
+  EXPECT_EQ(updates.back().seq, 3u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -363,6 +367,109 @@ TEST(EventLoopFd, PostWakesLoopBlockedOnFds) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   poster.join();
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            2000);
+  loop.RemoveFd(pipe.reader());
+}
+
+TEST(EventLoopFd, TimerFiresOnTimeWhileFdEventsInterruptTheWait) {
+  // A 1.3 ms repeating timer on a loop whose fd turns readable every
+  // 4.1 ms: a wait is either a fractional-millisecond wait for the timer
+  // or, after an fd event cut it short, a re-wait for the remainder. A
+  // millisecond-granular wait (rounded up) made the timer fire up to 1 ms
+  // late; both must be waited exactly.
+  RealClock& clock = RealClock::Instance();
+  EventLoop loop(clock);
+  Pipe pipe;
+  ASSERT_TRUE(loop.AddFd(pipe.reader(), kFdReadable, [&](std::uint32_t) {
+    char buf[64];
+    while (::read(pipe.reader(), buf, sizeof(buf)) > 0) {
+    }
+  }));
+  ASSERT_EQ(::fcntl(pipe.reader(), F_SETFL, O_NONBLOCK), 0);
+  constexpr TimeNs kPeriod = 1300 * kNsPerUs;
+  std::vector<double> late_us;
+  TimeNs due = clock.Now() + kPeriod;
+  loop.AddTimer(kPeriod, [&](TimeNs now) -> TimeNs {
+    late_us.push_back(static_cast<double>(now - due) / 1e3);
+    if (late_us.size() >= 40) {
+      loop.Stop();
+      return kStopTimer;
+    }
+    due = clock.Now() + kPeriod;
+    return kPeriod;
+  });
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    while (!done.load()) {
+      const char byte = 1;
+      [[maybe_unused]] ssize_t n = ::write(pipe.writer(), &byte, 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(4100));
+    }
+  });
+  loop.Run(std::numeric_limits<TimeNs>::max(), false);
+  done.store(true);
+  writer.join();
+  loop.RemoveFd(pipe.reader());
+  ASSERT_EQ(late_us.size(), 40u);
+  std::sort(late_us.begin(), late_us.end());
+  EXPECT_LT(late_us[late_us.size() / 2], 300.0)
+      << "median timer lateness (us) with fd traffic";
+}
+
+TEST(EventLoopFd, LoopThreadPostRunsBeforeTheNextWait) {
+  // No timers: the loop blocks for whole 50 ms chunks. A task posted on
+  // the loop thread does not write the wakeup eventfd, so the loop must
+  // run it (and a task that task posts) before it blocks again.
+  RealClock& clock = RealClock::Instance();
+  EventLoop loop(clock);
+  Pipe pipe;
+  TimeNs fd_seen = 0;
+  TimeNs chained_ran = 0;
+  ASSERT_TRUE(loop.AddFd(pipe.reader(), kFdReadable, [&](std::uint32_t) {
+    char buf[8];
+    [[maybe_unused]] ssize_t n = ::read(pipe.reader(), buf, sizeof(buf));
+    fd_seen = clock.Now();
+    loop.Post([&] {
+      loop.Post([&] {
+        chained_ran = clock.Now();
+        loop.Stop();
+      });
+    });
+  }));
+  const char byte = 1;
+  ASSERT_EQ(::write(pipe.writer(), &byte, 1), 1);
+  loop.Run(std::numeric_limits<TimeNs>::max(), false);
+  loop.RemoveFd(pipe.reader());
+  ASSERT_NE(fd_seen, 0);
+  ASSERT_NE(chained_ran, 0);
+  EXPECT_LT(chained_ran - fd_seen, 20 * kNsPerMs);
+}
+
+TEST(EventLoopFd, CrossThreadPostsAllRunWithCoalescedWakes) {
+  // A burst of cross-thread posts shares eventfd writes while one wake is
+  // pending; none of the tasks may be stranded by that.
+  RealClock& clock = RealClock::Instance();
+  EventLoop loop(clock);
+  Pipe pipe;
+  ASSERT_TRUE(loop.AddFd(pipe.reader(), kFdReadable, [](std::uint32_t) {}));
+  std::atomic<int> ran{0};
+  constexpr int kPosts = 2000;
+  std::thread poster([&] {
+    for (int i = 0; i < kPosts; ++i) {
+      loop.Post([&] { ran.fetch_add(1); });
+      if (i % 100 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    loop.Post([&] { loop.Stop(); });
+  });
+  const auto start = std::chrono::steady_clock::now();
+  loop.Run(std::numeric_limits<TimeNs>::max(), false);
+  poster.join();
+  EXPECT_EQ(ran.load(), kPosts);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
                 .count(),
             2000);
   loop.RemoveFd(pipe.reader());
